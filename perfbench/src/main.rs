@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! tsocc-perfbench --workload NAME [--seed N] [--seconds S] [--trace 0|1]
-//!                 [--base-seed X]
 //! tsocc-perfbench --write-pins > perfbench/pins.txt
 //! ```
 //!
@@ -16,10 +15,9 @@
 //! Either way the standard output ends with one JSON line:
 //! `{"correct", "attempted", "failed", "metrics"}`.
 //!
-//! On a simulator workload `--seed N` picks the `N % 16`-th of the
-//! base seeds `pins.txt` pins for it; `--base-seed X` runs any other
-//! base seed (default `0xC0FFEE`), checked for completion and
-//! determinism only. On `model-check-2t` the seed orders the family.
+//! On a simulator workload `--seed N` picks the `N % k`-th of the `k`
+//! base seeds `pins.txt` pins for it; a workload the table pins no
+//! seed for fails. On `model-check-2t` the seed orders the family.
 
 mod check;
 mod host;
@@ -57,6 +55,7 @@ const WORKLOADS: [(&str, Workload); 3] = [
             cores: 128,
             scale: Scale::Small,
             protocols: SIM_PROTOCOLS,
+            seeded: false,
         }),
     ),
     (
@@ -66,6 +65,7 @@ const WORKLOADS: [(&str, Workload); 3] = [
             cores: 32,
             scale: Scale::Small,
             protocols: SIM_PROTOCOLS,
+            seeded: true,
         }),
     ),
     ("model-check-2t", Workload::ModelCheck),
@@ -74,7 +74,6 @@ const WORKLOADS: [(&str, Workload); 3] = [
 struct Args {
     workload: String,
     seed: u64,
-    base_seed: Option<u64>,
     seconds: f64,
     trace: bool,
     write_pins: bool,
@@ -91,7 +90,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workload: String::new(),
         seed: 0,
-        base_seed: None,
         seconds: 20.0,
         trace: false,
         write_pins: false,
@@ -107,7 +105,6 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--workload" => args.workload = value.clone(),
             "--seed" => args.seed = parse_u64(&value).ok_or_else(bad)?,
-            "--base-seed" => args.base_seed = Some(parse_u64(&value).ok_or_else(bad)?),
             "--seconds" => {
                 args.seconds = value
                     .parse()
@@ -149,13 +146,22 @@ fn main() {
         std::process::exit(2);
     };
     let pins = Pins::committed();
-    let base_seed = args.base_seed.unwrap_or_else(|| match workload {
-        Workload::Sim(_) => pins
-            .base_seed(name, args.seed)
-            .unwrap_or(DEFAULT_BASE_SEED + args.seed % PINNED_SEEDS),
+    let base_seed = match workload {
+        Workload::Sim(_) => pins.base_seed(name, args.seed),
         // The seed only orders the family; any seed is covered.
-        Workload::ModelCheck => DEFAULT_BASE_SEED.wrapping_add(args.seed),
-    });
+        Workload::ModelCheck => Some(DEFAULT_BASE_SEED.wrapping_add(args.seed)),
+    };
+    let Some(base_seed) = base_seed else {
+        // Nothing this run could measure would be checked.
+        let mut outcome = Outcome {
+            attempted: 1,
+            ..Outcome::default()
+        };
+        outcome.fail(format!("pins.txt pins no base seed for {name}"));
+        print_human(&outcome, &[]);
+        println!("{}", outcome.result_line(&[]));
+        std::process::exit(1);
+    };
     let host = host::Host::probe();
     println!(
         "perfbench {name}: seed {} -> base seed {base_seed:#x}, trace {}, {} s",
@@ -173,15 +179,6 @@ fn main() {
         (Workload::ModelCheck, false) => check::measure(base_seed, args.seconds, MIN_PASSES, &pins),
         (Workload::ModelCheck, true) => check::trace(base_seed, &pins),
     };
-    if let Workload::Sim(spec) = workload {
-        let pinned = spec
-            .points()
-            .iter()
-            .all(|p| pins.has(&sim::key(p, base_seed)));
-        if !pinned {
-            println!("note: base seed {base_seed:#x} is not pinned; checked for completion and determinism only");
-        }
-    }
     let table: &[(&str, &str)] = if args.trace { &PER_LAYER } else { &END_TO_END };
     if !args.trace {
         outcome.set("peak_rss_mb", host::peak_rss_mb());
@@ -207,12 +204,12 @@ fn print_human(outcome: &Outcome, table: &[(&str, &str)]) {
         let max = outcome.passes.iter().copied().fold(0.0, f64::max);
         match report::tail_percentile(&outcome.passes) {
             Some((p, v)) => println!(
-                "  wall_s over {} passes: median {:.6} s, p{p:.0} {v:.6} s",
+                "  pass wall over {} passes: median {:.6} s, p{p:.0} {v:.6} s",
                 outcome.passes.len(),
                 report::median(&outcome.passes)
             ),
             None => println!(
-                "  wall_s over {} passes: median {:.6} s, max {max:.6} s \
+                "  pass wall over {} passes: median {:.6} s, max {max:.6} s \
                  (fewer than 11 passes: no percentile has 10 samples above it)",
                 outcome.passes.len(),
                 report::median(&outcome.passes)
@@ -231,11 +228,13 @@ fn print_human(outcome: &Outcome, table: &[(&str, &str)]) {
     }
 }
 
-/// Prints the pin table. For each simulator workload it surveys the
-/// candidate base seeds and pins the [`PINNED_SEEDS`] whose simulated
-/// work (cycles, instructions, messages, scheduler pops) lies closest
-/// to the candidates' medians: `--seed` then varies the inputs without
-/// varying how much work a run measures. Slow: it runs every point of
+/// Prints the pin table. For each simulator workload whose kernel
+/// draws on the seed it surveys the candidate base seeds and pins the
+/// [`PINNED_SEEDS`] whose simulated work (cycles, instructions,
+/// messages, scheduler pops) lies closest to the candidates' medians:
+/// `--seed` then varies the inputs without varying how much work a run
+/// measures. Any other workload runs the same at every seed, so it
+/// pins the default base seed alone. Slow: it runs every point of
 /// every candidate.
 fn write_pins() {
     println!("# Pinned inputs and outcomes of the benchmark (regenerate with --write-pins).");
@@ -250,7 +249,8 @@ fn write_pins() {
         };
         // (base seed, work, pin lines) per candidate.
         let mut survey = Vec::new();
-        for k in 0..CANDIDATE_SEEDS {
+        let candidates = if spec.seeded { CANDIDATE_SEEDS } else { 1 };
+        for k in 0..candidates {
             let base_seed = DEFAULT_BASE_SEED + k;
             let mut work = [0.0f64; 4];
             let mut lines = Vec::new();

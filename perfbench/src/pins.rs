@@ -8,8 +8,9 @@
 
 use tsocc::RunStats;
 
-/// How many base seeds the table pins per simulator workload: `--seed
-/// n` runs the workload's `n % PINNED_SEEDS`-th pinned base seed.
+/// How many base seeds `--write-pins` pins for a simulator workload
+/// whose kernel draws on the seed (one otherwise). `--seed n` runs the
+/// `n % k`-th of the `k` base seeds the table pins for a workload.
 pub const PINNED_SEEDS: u64 = 16;
 
 /// The candidates `--write-pins` surveys to choose the pinned seeds
@@ -105,30 +106,36 @@ impl Pins {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The base seed `--seed n` selects for `workload`, if the table
-    /// has one.
+    /// The base seed `--seed n` selects for `workload`: the `n % k`-th
+    /// of the `k` the table pins for it, or `None` when it pins none.
     pub fn base_seed(&self, workload: &str, n: u64) -> Option<u64> {
-        let value = self.get(&seed_key(workload, n % PINNED_SEEDS))?;
+        let prefix = format!("seed {workload} ");
+        let k = self
+            .entries
+            .iter()
+            .filter(|(key, _)| key.starts_with(&prefix))
+            .count() as u64;
+        if k == 0 {
+            return None;
+        }
+        let value = self.get(&seed_key(workload, n % k))?;
         u64::from_str_radix(value.strip_prefix("0x")?, 16).ok()
     }
 
     /// Whether `key` is pinned at all.
+    #[cfg(test)]
     pub fn has(&self, key: &str) -> bool {
         self.get(key).is_some()
     }
 
-    /// Checks a point's outcome against its pin. `Ok` when it matches,
-    /// or when the point is not pinned (then only completion and
-    /// run-to-run determinism are checked, by the caller).
+    /// Checks a point's outcome against its pin; a point the table does
+    /// not pin fails too.
     pub fn check_point(&self, key: &str, stats: &RunStats) -> Result<(), String> {
-        let Some(want) = self.get(key) else {
-            return Ok(());
-        };
         let got = format!("{:016x}", digest(stats));
-        if got == want {
-            Ok(())
-        } else {
-            Err(format!("{key}: digest {got}, pinned {want}"))
+        match self.get(key) {
+            Some(want) if want == got => Ok(()),
+            Some(want) => Err(format!("{key}: digest {got}, pinned {want}")),
+            None => Err(format!("{key}: not pinned")),
         }
     }
 
@@ -146,9 +153,31 @@ impl Pins {
     /// it to prove a wrong pin is caught.
     #[cfg(test)]
     pub fn with(&self, key: &str, value: &str) -> Pins {
-        let mut pins = self.clone();
-        pins.entries.retain(|(k, _)| k != key);
+        let mut pins = self.without(key);
         pins.entries.push((key.to_string(), value.to_string()));
         pins
+    }
+
+    /// A copy without `key` — the self-tests use it to prove a missing
+    /// pin is caught.
+    #[cfg(test)]
+    pub fn without(&self, key: &str) -> Pins {
+        let mut pins = self.clone();
+        pins.entries.retain(|(k, _)| k != key);
+        pins
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn seed_n_cycles_through_the_seeds_a_workload_pins() {
+        let pins = Pins::parse("seed a 0 0x10\nseed a 1 0x11\nseed a 2 0x12\nseed b 0 0x20\n");
+        let a: Vec<Option<u64>> = (0..4).map(|n| pins.base_seed("a", n)).collect();
+        assert_eq!(a, [Some(0x10), Some(0x11), Some(0x12), Some(0x10)]);
+        assert_eq!(pins.base_seed("b", 7), Some(0x20));
+        assert_eq!(pins.base_seed("c", 0), None);
     }
 }

@@ -156,6 +156,11 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
+/// The smallest of `xs` (0 for an empty slice).
+pub fn fastest(xs: &[f64]) -> f64 {
+    xs.iter().copied().reduce(f64::min).unwrap_or(0.0)
+}
+
 /// The highest percentile of `xs` that still has at least ten samples
 /// above it, as `(percentile, value)`; `None` with fewer than eleven
 /// samples.
