@@ -1,9 +1,7 @@
 //! Scheduler microbenchmark: churn throughput of the indexed radix
 //! wake-queue against the lazy-deletion `BinaryHeap` it replaced, at a
 //! small (8-core), a large (64-core) and the sweep's largest
-//! (128-core) machine id population, plus a shard-local leg measuring
-//! what reusing per-shard queues across runs buys the parallel
-//! stepper.
+//! (128-core) machine id population.
 //!
 //! The workload is the steady-state stepper pattern: every round pops
 //! all due ids and immediately re-arms each a short random distance
@@ -84,32 +82,6 @@ fn heap_churn(n_ids: usize) -> u64 {
     popped
 }
 
-/// One shard's worth of churn over `queues`: each queue is re-floored
-/// with `reset` (the parallel stepper's per-run priming) and then
-/// churned over its shard-local id space. Mirrors how
-/// `System::shard_queues` lends one queue per worker and reuses them
-/// across runs.
-fn shard_churn(queues: &mut [WakeQueue], ids_per_shard: usize) -> u64 {
-    let mut rng = SplitMix64::new(0xC0FFEE);
-    let mut due = Vec::new();
-    let mut popped = 0u64;
-    for q in queues.iter_mut() {
-        q.reset(ids_per_shard, 0);
-        for id in 0..ids_per_shard {
-            q.set(id, rng.next_u64() % SPREAD);
-        }
-        for now in 0..ROUNDS / 8 {
-            due.clear();
-            q.pop_due(now, &mut due);
-            popped += due.len() as u64;
-            for &id in &due {
-                q.set(id as usize, now + 1 + rng.next_u64() % SPREAD);
-            }
-        }
-    }
-    popped
-}
-
 fn bench_sched(c: &mut Criterion) {
     // Id populations of the 8-, 64- and 128-core table-2 machines
     // (cores + L1s + L2 banks + memory controllers).
@@ -130,26 +102,6 @@ fn bench_sched(c: &mut Criterion) {
         });
         group.finish();
     }
-
-    // Shard-local queues: 8 workers over the 128-core machine, each
-    // owning the ids of its own tile slice. `reused` keeps one queue
-    // per shard alive across iterations (what `System::shard_queues`
-    // does between runs — `reset` preserves bucket capacity); `fresh`
-    // constructs the queues anew every time.
-    let shards = 8;
-    let ids_per_shard = (128 * 3 + 4) / shards;
-    let mut group = c.benchmark_group("sched_throughput/shard_local_128c");
-    let mut reused: Vec<WakeQueue> = (0..shards).map(|_| WakeQueue::new(0)).collect();
-    group.bench_function("reused_queues", |b| {
-        b.iter(|| black_box(shard_churn(&mut reused, black_box(ids_per_shard))))
-    });
-    group.bench_function("fresh_queues", |b| {
-        b.iter(|| {
-            let mut fresh: Vec<WakeQueue> = (0..shards).map(|_| WakeQueue::new(0)).collect();
-            black_box(shard_churn(&mut fresh, black_box(ids_per_shard)))
-        })
-    });
-    group.finish();
 }
 
 criterion_group!(benches, bench_sched);

@@ -5,23 +5,17 @@
 //!
 //! The matrix runs twice — once forced single-threaded, once on the
 //! parallel engine — and the binary asserts the results are identical
-//! before writing the artifact. Two further **stepper-parity legs**
-//! then re-run the whole matrix under `Stepper::Reference` and
-//! `Stepper::ParallelShards` and assert the full `RunStats` and the
-//! final-memory fingerprint match the event-driven results point for
-//! point, so the committed artifact is always one every stepper
-//! reproduces bit-identically.
+//! before writing the artifact. A further **stepper-parity leg** then
+//! re-runs the whole matrix under `Stepper::Reference` and asserts the
+//! full `RunStats` and the final-memory fingerprint match the
+//! event-driven results point for point, so the committed artifact is
+//! always one both steppers reproduce bit-identically.
 //!
 //! Env: `TSOCC_SCALE` (tiny/small/full, default small like every
 //! other sweep entry point), `TSOCC_SEED`, `TSOCC_THREADS`
 //! (parallel-leg workers; default one per CPU), `TSOCC_SWEEP_CORES`
 //! (comma-separated core counts, default `2,4,8,16,32,64,128`),
 //! `TSOCC_OUT` (output path, default `BENCH_sweep.json`).
-//!
-//! Every row also reports the sharded stepper's wall throughput on the
-//! same point (`shards_wall_seconds` / `shards_sim_cycles_per_second`,
-//! from the `ParallelShards{4}` parity leg), so stepper performance is
-//! tracked per point across PRs, not just in aggregate.
 //!
 //! `--check [PATH]` flips the binary into drift-check mode: instead of
 //! writing an artifact, it loads the committed one (default
@@ -188,33 +182,26 @@ fn main() {
         );
     }
 
-    // Stepper-parity legs: the committed artifact must be one that
-    // every stepper reproduces bit-identically — full `RunStats`
-    // (host-side scheduler counters excluded by its `PartialEq`) and
-    // the final-memory fingerprint, across the whole matrix. The
-    // sharded leg's results are kept: its per-point wall times go into
-    // the artifact rows as the stepper-throughput trajectory.
-    let check_leg = |stepper: Stepper, label: &str| -> Vec<_> {
-        eprintln!(
-            "== stepper parity leg: {label} ({} points) ==",
-            points.len()
+    // Stepper-parity leg: the committed artifact must be one that both
+    // steppers reproduce bit-identically — full `RunStats` (host-side
+    // scheduler counters excluded by its `PartialEq`) and the
+    // final-memory fingerprint, across the whole matrix.
+    eprintln!(
+        "== stepper parity leg: Reference ({} points) ==",
+        points.len()
+    );
+    let reference = run_points_with(&points, opts.threads, opts.seed, Stepper::Reference);
+    for (e, r) in serial.iter().zip(&reference) {
+        let id = format!("{}/{}x{}", e.bench, e.config, e.n_cores);
+        assert_eq!(
+            e.stats, r.stats,
+            "Reference stepper diverged from event-driven on {id}"
         );
-        let leg = run_points_with(&points, opts.threads, opts.seed, stepper);
-        for (e, o) in serial.iter().zip(&leg) {
-            let id = format!("{}/{}x{}", e.bench, e.config, e.n_cores);
-            assert_eq!(
-                e.stats, o.stats,
-                "{label} stepper diverged from event-driven on {id}"
-            );
-            assert_eq!(
-                e.mem_fp, o.mem_fp,
-                "{label} stepper final memory diverged on {id}"
-            );
-        }
-        leg
-    };
-    check_leg(Stepper::Reference, "Reference");
-    let sharded = check_leg(Stepper::ParallelShards { shards: 4 }, "ParallelShards{4}");
+        assert_eq!(
+            e.mem_fp, r.mem_fp,
+            "Reference stepper final memory diverged on {id}"
+        );
+    }
 
     let speedup = serial_wall.as_secs_f64() / parallel_wall.as_secs_f64().max(1e-9);
     // Aggregate throughput over the whole matrix (total simulated
@@ -242,17 +229,9 @@ fn main() {
         .f64("aggregate_sim_cycles_per_second", aggregate_cps)
         .str(
             "stepper_parity",
-            "EventDriven == Reference == ParallelShards{4} (RunStats + memory fingerprint)",
+            "EventDriven == Reference (RunStats + memory fingerprint)",
         )
-        .raw(
-            "points",
-            json::array(parallel.iter().zip(&sharded).map(|(p, s)| {
-                p.to_json_obj()
-                    .f64("shards_wall_seconds", s.wall.as_secs_f64())
-                    .f64("shards_sim_cycles_per_second", s.sim_cycles_per_second())
-                    .build()
-            })),
-        )
+        .raw("points", json::array(parallel.iter().map(|p| p.to_json())))
         .build();
     std::fs::write(&out_path, doc + "\n").expect("write baseline artifact");
     eprintln!(

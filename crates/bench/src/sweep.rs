@@ -138,8 +138,8 @@ impl SweepPoint {
 
     /// Runs this point under a specific [`Stepper`] — the hook behind
     /// the baseline's stepper-parity leg, which re-runs the whole
-    /// matrix under `Reference` and `ParallelShards` and diffs the
-    /// results (including the memory fingerprint) against the default.
+    /// matrix under `Reference` and diffs the results (including the
+    /// memory fingerprint) against the default.
     pub fn run_with_stepper(&self, base_seed: u64, stepper: Stepper) -> PointResult {
         let seed = self.seed(base_seed);
         let workload = self.bench.build(self.n_cores, self.scale, seed);
@@ -220,13 +220,6 @@ impl PointResult {
 
     /// The point as a JSON object (the `BENCH_sweep.json` row format).
     pub fn to_json(&self) -> String {
-        self.to_json_obj().build()
-    }
-
-    /// The row as a still-open [`json::Object`], so callers can append
-    /// extra fields (`sweep_baseline` adds the sharded stepper's
-    /// per-point wall throughput) before serializing.
-    pub fn to_json_obj(&self) -> json::Object {
         json::Object::new()
             .str("bench", &self.bench)
             .str("config", &self.config)
@@ -243,6 +236,7 @@ impl PointResult {
             .u64("sched_stale_skips", self.stats.sched.stale_skips)
             .f64("wall_seconds", self.wall.as_secs_f64())
             .f64("sim_cycles_per_second", self.sim_cycles_per_second())
+            .build()
     }
 }
 
@@ -289,9 +283,9 @@ pub fn run_points(points: &[SweepPoint], threads: usize, base_seed: u64) -> Vec<
     run_points_with(points, threads, base_seed, Stepper::default())
 }
 
-/// [`run_points`] under a specific [`Stepper`] (the stepper-parity
-/// legs of `sweep_baseline` re-run the matrix under `Reference` and
-/// `ParallelShards` through this).
+/// [`run_points`] under a specific [`Stepper`] (the stepper-parity leg
+/// of `sweep_baseline` re-runs the matrix under `Reference` through
+/// this).
 pub fn run_points_with(
     points: &[SweepPoint],
     threads: usize,

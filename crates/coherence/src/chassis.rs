@@ -307,11 +307,11 @@ impl<L: Copy, R> L1Chassis<L, R> {
 /// configuration); everything structural lives in the chassis handed to
 /// every method. [`L1Ctl`] wires a policy + chassis pair into the full
 /// [`L1Controller`] surface.
-pub trait L1Policy: Send {
+pub trait L1Policy {
     /// Per-line protocol state (Invalid is represented by absence).
-    type Line: Copy + std::fmt::Debug + Send;
+    type Line: Copy + std::fmt::Debug;
     /// Per-miss MSHR payload.
-    type Mshr: std::fmt::Debug + Send;
+    type Mshr: std::fmt::Debug;
 
     /// Attempts a core operation (load/store/RMW/fence).
     fn submit(
@@ -604,11 +604,11 @@ impl<L: Copy, K> L2Chassis<L, K> {
 /// queue and replay in order, Unblock messages close grants, and the
 /// replay queue drains on tick. Policies see only requests against idle
 /// lines plus their own protocol's response messages.
-pub trait L2Policy: Send {
+pub trait L2Policy {
     /// Per-line directory state (absence = not present).
-    type Line: Copy + std::fmt::Debug + Send;
+    type Line: Copy + std::fmt::Debug;
     /// Protocol-specific transaction state machine.
-    type Busy: std::fmt::Debug + Send;
+    type Busy: std::fmt::Debug;
 
     /// A GetS (read request) against an idle line.
     fn gets(

@@ -138,11 +138,7 @@ impl CtrlProbe {
 /// Common behaviour of every coherence controller (L1, L2 tile, memory
 /// controller): receive network messages, advance internal time, and
 /// emit outgoing messages.
-///
-/// Controllers must be `Send`: the sharded parallel stepper moves
-/// disjoint slices of controllers onto scoped worker threads (they are
-/// never shared — each controller is owned by exactly one shard).
-pub trait CacheController: Send {
+pub trait CacheController {
     /// Delivers one message from the network.
     fn handle_message(&mut self, now: Cycle, src: Agent, msg: Msg);
 

@@ -49,7 +49,7 @@ pub use outbox::Outbox;
 pub use stats::{L1Stats, L2Stats, SelfInvCause};
 // Re-exported so protocol crates and the system assembly share one
 // fault vocabulary without each depending on the faults crate.
-pub use tsocc_faults::{FaultPlan, FaultState, NocFault, ProtocolFault, StepperFault};
+pub use tsocc_faults::{FaultPlan, FaultState, NocFault, ProtocolFault};
 pub use tsocc_noc::MeshTopology;
 pub use wb::WritebackBuffer;
 

@@ -24,15 +24,13 @@ impl std::error::Error for ConfigError {}
 
 /// Which run loop drives the machine.
 ///
-/// All steppers execute the same per-cycle semantics and are
+/// Both steppers execute the same per-cycle semantics and are
 /// **bit-identical** in every simulated outcome (cycles, messages,
 /// flits, statistics, final memory). The event-driven scheduler merely
-/// skips cycles in which no component can act; the sharded stepper
-/// additionally spreads tiles over worker threads; the reference
-/// stepper walks cycles one by one and is kept as the determinism
-/// oracle (`tests/event_driven_parity.rs` and
-/// `tests/parallel_stepper_parity.rs` diff the steppers across the
-/// full sweep matrix).
+/// skips cycles in which no component can act; the reference stepper
+/// walks cycles one by one and is kept as the determinism oracle
+/// (`tests/event_driven_parity.rs` diffs the two across the full sweep
+/// matrix).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Stepper {
     /// Indexed event queue: every component's wake deadline lives in a
@@ -42,50 +40,6 @@ pub enum Stepper {
     EventDriven,
     /// The original cycle-by-cycle polling stepper.
     Reference,
-    /// Conservative-parallel stepper: tiles are split into contiguous
-    /// shards, each driven by its own scoped worker thread, with the
-    /// mesh minimum message latency as the synchronization lookahead
-    /// (no message can cross shards faster, so each window of cycles is
-    /// data-race-free by construction and the result is bit-identical
-    /// to the serial steppers on any worker count).
-    ParallelShards {
-        /// Worker-thread count; `0` picks
-        /// [`std::thread::available_parallelism`]. Clamped to the tile
-        /// count; `<= 1` effective workers falls back to the serial
-        /// event-driven scheduler.
-        shards: usize,
-    },
-}
-
-impl Stepper {
-    /// The auto-sized parallel stepper
-    /// (`ParallelShards { shards: 0 }`).
-    pub fn parallel() -> Stepper {
-        Stepper::ParallelShards { shards: 0 }
-    }
-
-    /// The worker-thread count this stepper will actually use on a
-    /// machine with `n_tiles` tiles: the serial steppers always use
-    /// one; `ParallelShards { shards: 0 }` auto-sizes to
-    /// [`std::thread::available_parallelism`]; every parallel request
-    /// is capped at the tile count (a shard cannot be smaller than one
-    /// tile). This is the exact resolution the run loop applies, so
-    /// callers can predict the fallback-to-serial case (`<= 1`).
-    pub fn effective_shards(self, n_tiles: usize) -> usize {
-        match self {
-            Stepper::EventDriven | Stepper::Reference => 1,
-            Stepper::ParallelShards { shards } => {
-                let requested = if shards == 0 {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                } else {
-                    shards
-                };
-                requested.min(n_tiles).max(1)
-            }
-        }
-    }
 }
 
 /// Full machine configuration.
@@ -567,12 +521,12 @@ mod tests {
             .seed(7)
             .mem_controllers(1)
             .l2_banks(2)
-            .stepper(Stepper::parallel())
+            .stepper(Stepper::Reference)
             .build()
             .unwrap();
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.n_mem, 1);
         assert_eq!(cfg.l2_banks, 2);
-        assert_eq!(cfg.stepper, Stepper::ParallelShards { shards: 0 });
+        assert_eq!(cfg.stepper, Stepper::Reference);
     }
 }

@@ -61,7 +61,7 @@ pub use stats::RunStats;
 pub use system::{RunError, System};
 // The fault-injection axis, re-exported so experiment drivers can
 // build plans without naming the substrate crates.
-pub use tsocc_coherence::{FaultPlan, NocFault, ProtocolFault, StepperFault};
+pub use tsocc_coherence::{FaultPlan, NocFault, ProtocolFault};
 
 /// This crate's compiled version. The orchestrator (`tsocc-orch`) folds
 /// the versions of every simulated-metric-affecting crate into the

@@ -31,15 +31,9 @@ pub struct RunStats {
     /// Write-buffer-full stall cycles over all cores.
     pub wb_full_stalls: u64,
     /// Host-side event-queue counters of the indexed event-driven
-    /// scheduler (all zero under the reference and parallel steppers,
-    /// which do not use the queue). Excluded from equality and `Debug`.
+    /// scheduler (all zero under the reference stepper, which does not
+    /// use the queue). Excluded from equality and `Debug`.
     pub sched: SchedStats,
-    /// Times the run degraded from the parallel stepper to a serial
-    /// re-run after a shard-worker failure. Host-side resilience
-    /// bookkeeping, not a simulated outcome: the re-run's results are
-    /// bit-identical to a clean serial run, so — like `sched` — this is
-    /// excluded from equality and `Debug`.
-    pub degraded: u64,
 }
 
 impl PartialEq for RunStats {
@@ -126,11 +120,9 @@ mod tests {
         a.sched.pushes = 99;
         a.sched.events_popped = 5;
         a.sched.stale_skips = 1;
-        a.degraded = 1;
         assert_eq!(a, b, "host-side counters must not break parity");
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert!(!format!("{a:?}").contains("sched"));
-        assert!(!format!("{a:?}").contains("degraded"));
         let c = RunStats {
             cycles: 1,
             ..Default::default()

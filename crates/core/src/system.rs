@@ -127,12 +127,6 @@ pub struct System {
     /// cycles as the `*_wake` vectors, so picking the next event is
     /// amortized O(1) instead of a min-scan over every component.
     wake_queue: WakeQueue,
-    /// Per-shard wake queues lent to the parallel stepper's workers
-    /// (empty until the first parallel run, then reused across runs so
-    /// repeated parallel runs never reallocate queue buckets). Each
-    /// shard indexes its queue with shard-local ids over its own tile
-    /// slice; see `system/parallel.rs`.
-    shard_queues: Vec<WakeQueue>,
     /// Cached `is_done()` per core, so `cores_running` updates
     /// incrementally from only the cores a step actually ticks.
     core_done: Vec<bool>,
@@ -144,10 +138,6 @@ pub struct System {
     tick_l2: Vec<u32>,
     drain_l2: Vec<u32>,
     drain_mem: Vec<u32>,
-    /// Times this machine gracefully degraded to a serial stepper
-    /// after a parallel-shard worker failure (surfaced as
-    /// [`RunStats::degraded`]).
-    degraded_events: u64,
 }
 
 impl System {
@@ -233,7 +223,6 @@ impl System {
             l2_busy: vec![false; n_tiles],
             mem_busy: vec![false; cfg_n_mem],
             wake_queue: WakeQueue::new(0),
-            shard_queues: Vec::new(),
             core_done: vec![false; cores_running],
             due_ids: Vec::new(),
             cand_core: Vec::new(),
@@ -241,7 +230,6 @@ impl System {
             tick_l2: Vec::new(),
             drain_l2: Vec::new(),
             drain_mem: Vec::new(),
-            degraded_events: 0,
         })
     }
 
@@ -753,7 +741,6 @@ impl System {
         let result = match self.cfg.stepper {
             Stepper::EventDriven => self.run_event_driven(max_cycles),
             Stepper::Reference => self.run_reference(max_cycles),
-            Stepper::ParallelShards { shards } => self.run_parallel(max_cycles, shards),
         };
         match result {
             // The steppers report the *where*; the enrichment here
@@ -902,17 +889,10 @@ impl System {
     /// Aggregates all statistics (valid at any point, typically after
     /// [`System::run`]).
     pub fn collect_stats(&self) -> RunStats {
-        let mut sched = self.wake_queue.stats();
-        // A parallel run's queue traffic lives in the per-shard queues;
-        // host-side counters only, so merging is parity-neutral.
-        for q in &self.shard_queues {
-            sched.merge(q.stats());
-        }
         let mut stats = RunStats {
             cycles: self.now.as_u64(),
             noc: self.mesh.stats().clone(),
-            sched,
-            degraded: self.degraded_events,
+            sched: self.wake_queue.stats(),
             ..RunStats::default()
         };
         for l1 in &self.l1s {
@@ -931,8 +911,6 @@ impl System {
         stats
     }
 }
-
-mod parallel;
 
 #[cfg(test)]
 mod tests;

@@ -137,13 +137,6 @@ impl Core {
         self.id
     }
 
-    /// The program this core runs (lets a run loop rebuild an
-    /// equivalent machine, e.g. for graceful degradation after a
-    /// parallel-stepper failure).
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
     /// The architectural thread state (final registers for litmus
     /// outcome checking).
     pub fn thread(&self) -> &ThreadState {

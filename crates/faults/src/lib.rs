@@ -3,15 +3,14 @@
 //! Deterministic, seeded fault injection for the simulator.
 //!
 //! A [`FaultPlan`] is an axis on the system configuration that injects
-//! faults at three layers:
+//! faults at two layers:
 //!
 //! - **NoC** ([`NocFault`]): bounded extra message delay, optionally
 //!   targeted at one virtual network. The extra delay is a *pure hash*
 //!   of `(seed, src, dst, vnet, cycle)` — not a stateful RNG — so it
-//!   is independent of send-call order and every stepper (reference,
-//!   event-driven, sharded-parallel) derives the identical delay for
-//!   the identical message. Delay only ever *adds* latency, so the
-//!   parallel stepper's conservative lookahead bound stays valid.
+//!   is independent of send-call order and both steppers (reference
+//!   and event-driven) derive the identical delay for the identical
+//!   message.
 //! - **Protocol** ([`ProtocolFault`]): policy-level mutations behind
 //!   the [`FaultState`] seam in the coherence chassis — drop an
 //!   invalidation ack, skip a TSO-CC timestamp reset (wrapping the
@@ -20,8 +19,6 @@
 //!   are *mutation testing for the verification stack*: each must be
 //!   caught by at least one existing oracle (litmus forbidden
 //!   outcomes, conformance model mismatches, or a deadlock report).
-//! - **Stepper** ([`StepperFault`]): a shard-worker panic trigger that
-//!   exercises the parallel stepper's graceful-degradation path.
 //!
 //! [`FaultPlan::none`] is the default everywhere; with it, every
 //! simulated outcome is byte-identical to a build without this crate.
@@ -80,16 +77,6 @@ pub enum ProtocolFault {
     },
 }
 
-/// A shard-worker panic trigger for the parallel stepper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StepperFault {
-    /// Which shard's worker panics (clamped to the worker count by the
-    /// stepper).
-    pub shard: usize,
-    /// The simulated cycle at (or after) which the panic fires.
-    pub at_cycle: u64,
-}
-
 /// The full fault-injection plan, carried on the system configuration
 /// and the machine shape. All-`Copy` so the shape stays `Copy`.
 ///
@@ -104,8 +91,6 @@ pub struct FaultPlan {
     pub noc: Option<NocFault>,
     /// Protocol-layer mutation, if any.
     pub protocol: Option<ProtocolFault>,
-    /// Stepper-layer fault, if any.
-    pub stepper: Option<StepperFault>,
 }
 
 /// One round of the splitmix64 output permutation: a high-quality
@@ -124,13 +109,12 @@ impl FaultPlan {
             seed: 0,
             noc: None,
             protocol: None,
-            stepper: None,
         }
     }
 
     /// Whether this plan injects nothing (the common fast path).
     pub fn is_none(&self) -> bool {
-        self.noc.is_none() && self.protocol.is_none() && self.stepper.is_none()
+        self.noc.is_none() && self.protocol.is_none()
     }
 
     /// Extra delivery delay for a message injected at `cycle` from
@@ -140,8 +124,8 @@ impl FaultPlan {
     ///
     /// Being a pure function of per-message data (no RNG state), the
     /// delay is independent of the order in which sends are issued —
-    /// which is what keeps all three steppers bit-identical under an
-    /// active NoC fault.
+    /// which is what keeps both steppers bit-identical under an active
+    /// NoC fault.
     pub fn noc_extra_delay(&self, cycle: u64, src: usize, dst: usize, vnet: VNet) -> u64 {
         let Some(f) = self.noc else { return 0 };
         if f.extra_delay_max == 0 {

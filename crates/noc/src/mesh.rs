@@ -42,20 +42,6 @@ impl NocConfig {
         let total = payload_bytes + 8;
         total.div_ceil(self.flit_bytes).max(1)
     }
-
-    /// Minimum cycles between injecting any message and its delivery,
-    /// over every (src, dst) pair — the **conservative lookahead** of
-    /// the parallel stepper: a message sent at cycle `t` can never be
-    /// observed before `t + min_message_latency()`, so shards may
-    /// advance that many cycles without exchanging messages.
-    ///
-    /// The minimum is local (src == dst) crossbar delivery, which takes
-    /// `router_latency.max(1)` cycles; every multi-hop route costs at
-    /// least one serialization cycle plus link and router latency on
-    /// top. Always at least 1.
-    pub fn min_message_latency(&self) -> u64 {
-        self.router_latency.max(1)
-    }
 }
 
 /// Traffic statistics, the basis of the paper's Figure 4.
@@ -175,12 +161,6 @@ impl<M> Mesh<M> {
         &self.stats
     }
 
-    /// The conservative lookahead of this mesh: see
-    /// [`NocConfig::min_message_latency`].
-    pub fn lookahead(&self) -> u64 {
-        self.cfg.min_message_latency()
-    }
-
     /// Injects a message of `flits` flits at router `src` destined for
     /// router `dst` at time `now`. The message becomes visible to
     /// [`Mesh::deliver`] once its modelled latency has elapsed.
@@ -196,9 +176,7 @@ impl<M> Mesh<M> {
     /// cycles later than the modelled latency — the seam through which
     /// deterministic NoC fault injection adds jitter. The delay applies
     /// to the final arrival time only: link serialization (and thus
-    /// contention seen by *other* messages) is unaffected, and because
-    /// it can only add latency the conservative lookahead bound
-    /// ([`NocConfig::min_message_latency`]) still holds.
+    /// contention seen by *other* messages) is unaffected.
     #[allow(clippy::too_many_arguments)]
     pub fn send_with_delay(
         &mut self,
@@ -458,9 +436,9 @@ mod tests {
     }
 
     #[test]
-    fn no_arrival_beats_the_advertised_lookahead() {
-        // The parallel stepper's correctness rests on this bound: every
-        // delivery is at least `lookahead` cycles after its send, for
+    fn no_arrival_beats_one_router_latency() {
+        // Every delivery is at least `router_latency.max(1)` cycles
+        // after its send — the local (src == dst) crossbar minimum — for
         // every (src, dst) pair including self-sends, under varied
         // latency configurations.
         for (router, link) in [(1u64, 1u64), (3, 0), (0, 2), (2, 5)] {
@@ -470,8 +448,7 @@ mod tests {
                 flit_bytes: 16,
             };
             let mut m: Mesh<u32> = Mesh::new(MeshTopology::new(2, 4), cfg);
-            let la = m.lookahead();
-            assert!(la >= 1);
+            let floor = router.max(1);
             let mut id = 0;
             for src in 0..m.topology().nodes() {
                 for dst in 0..m.topology().nodes() {
@@ -481,8 +458,8 @@ mod tests {
             }
             let first = m.next_arrival().unwrap();
             assert!(
-                first.as_u64() >= 17 + la,
-                "arrival at {first:?} beats lookahead {la} (router={router}, link={link})"
+                first.as_u64() >= 17 + floor,
+                "arrival at {first:?} beats send + {floor} (router={router}, link={link})"
             );
         }
     }

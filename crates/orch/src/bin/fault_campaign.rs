@@ -75,7 +75,6 @@ fn matrix(seed: u64) -> Vec<Leg> {
         seed,
         noc,
         protocol,
-        stepper: None,
     };
     // A 1-bit timestamp source wraps on every write, so the faulted
     // core hits the (skipped) reset path constantly; max-accesses of 2

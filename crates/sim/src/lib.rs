@@ -8,11 +8,9 @@
 //! statistics ([`stats::Counter`], [`stats::Histogram`]) and a lightweight
 //! trace facility ([`trace::TraceSink`]).
 //!
-//! The simulator is deterministic given a seed — even under the sharded
-//! parallel stepper, whose synchronization protocol is constructed so
-//! that thread scheduling can never influence a simulated outcome. This
-//! is a deliberate design decision so that litmus-test results and
-//! benchmark figures are exactly reproducible across runs and machines.
+//! The simulator is deterministic given a seed. This is a deliberate
+//! design decision so that litmus-test results and benchmark figures are
+//! exactly reproducible across runs and machines.
 //!
 //! # Examples
 //!

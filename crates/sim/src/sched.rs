@@ -53,17 +53,6 @@ pub struct SchedStats {
     pub stale_skips: u64,
 }
 
-impl SchedStats {
-    /// Accumulates another queue's counters into this one — how the
-    /// sharded parallel stepper folds its per-shard queues into the
-    /// single per-run scheduler report.
-    pub fn merge(&mut self, other: SchedStats) {
-        self.pushes += other.pushes;
-        self.events_popped += other.events_popped;
-        self.stale_skips += other.stale_skips;
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     key: u64,
@@ -339,28 +328,6 @@ mod tests {
         assert_eq!(q.stats(), SchedStats::default());
         q.set(2, 9);
         assert_eq!(drain_due(&mut q, 9), vec![2]);
-    }
-
-    #[test]
-    fn stats_merge_accumulates_all_counters() {
-        let mut a = SchedStats {
-            pushes: 1,
-            events_popped: 2,
-            stale_skips: 3,
-        };
-        a.merge(SchedStats {
-            pushes: 10,
-            events_popped: 20,
-            stale_skips: 30,
-        });
-        assert_eq!(
-            a,
-            SchedStats {
-                pushes: 11,
-                events_popped: 22,
-                stale_skips: 33,
-            }
-        );
     }
 
     #[test]

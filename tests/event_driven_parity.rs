@@ -7,7 +7,7 @@
 //!
 //! [`RunStats`]: tsocc::RunStats
 
-use tsocc::{RunStats, Stepper, System, SystemConfig};
+use tsocc::{RunStats, Stepper, System};
 use tsocc_bench::sweep::SweepPoint;
 use tsocc_mem::{Addr, LineAddr, LineData};
 use tsocc_proto::TsoCcConfig;
@@ -27,14 +27,10 @@ struct Outcome {
 /// per-point seed derivation, config and cycle budget), under the given
 /// stepper, capturing the final memory image as well.
 fn run_point(point: &SweepPoint, stepper: Stepper) -> Outcome {
-    let seed = point.seed(BASE_SEED);
-    let workload = point.bench.build(point.n_cores, point.scale, seed);
-    let mut cfg = SystemConfig::builder()
-        .cores(point.n_cores)
-        .protocol(point.protocol)
-        .build()
-        .expect("valid config");
-    cfg.seed = seed;
+    let workload = point
+        .bench
+        .build(point.n_cores, point.scale, point.seed(BASE_SEED));
+    let mut cfg = point.system_config(BASE_SEED);
     cfg.stepper = stepper;
     let mut sys = System::new(cfg, workload.programs.clone());
     for &(addr, value) in &workload.init {
