@@ -1,7 +1,7 @@
 //! Criterion versions of the paper's figure measurements at miniature
 //! scale, one group per figure family, so `cargo bench` exercises every
-//! measurement path quickly. The full-scale numbers come from the
-//! `fig*` binaries (`cargo run --release -p tsocc-bench --bin all_figures`).
+//! measurement path quickly. The full-scale numbers come from
+//! `cargo run --release -p tsocc-orch --bin tsocc -- figures all`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -1,19 +1,21 @@
-//! Shared command-line parsing for the campaign binaries.
+//! Shared command-line parsing for every `tsocc` subcommand.
 //!
-//! `conform_campaign`, `fault_campaign` and `model_check` all speak the
-//! same core dialect — `--budget-ms N`, `--seed N`, `--out PATH`, and
-//! (where protocols are selectable) a repeatable `--protocol NAME`
-//! that is mutually exclusive with `--all-configs` — plus bin-specific
-//! extras. Each binary declares its flags against a [`Cli`] spec; the
-//! spec drives both parsing and a uniform `--help` page, so the three
-//! entry points cannot drift apart flag by flag.
+//! The subcommands speak one dialect — `--budget-ms N`, `--seed N`,
+//! `--out PATH`, `--jobs N`, and (where protocols are selectable) a
+//! repeatable `--protocol NAME` that is mutually exclusive with
+//! `--all-configs` — plus subcommand-specific extras. Each subcommand
+//! declares its flags against a [`Cli`] spec; the spec drives both
+//! parsing and a uniform `--help` page, so the entry points cannot
+//! drift apart flag by flag.
 //!
-//! Parsing is deliberately strict: an unknown flag, a missing value, or
-//! a non-numeric argument to a numeric flag aborts with the usage page
-//! on stderr and exit status 2 (`--help` prints the same page to
-//! stdout and exits 0). There is no partial parse to misread.
+//! Parsing is deliberately strict: an unknown flag, a missing value, a
+//! non-numeric argument to a numeric flag, a bad entry in a list, or an
+//! unknown scale or protocol name aborts with the usage page on stderr
+//! and exit status 2 (`--help` prints the same page to stdout and exits
+//! 0). There is no partial parse to misread.
 
 use tsocc_protocols::Protocol;
+use tsocc_workloads::Scale;
 
 /// One declared flag: its name, an optional value placeholder (`None`
 /// marks a boolean switch), and the help line.
@@ -27,32 +29,46 @@ struct FlagSpec {
     help: &'static str,
 }
 
-/// A binary's command-line specification. Build with the chainable
-/// [`Cli::opt`] / [`Cli::switch`] (plus the shared
-/// [`Cli::campaign_flags`] / [`Cli::protocol_flags`] blocks), then call
-/// [`Cli::parse`].
+/// A subcommand's command-line specification. Build with the chainable
+/// [`Cli::opt`] / [`Cli::switch`] / [`Cli::positional`] (plus the
+/// shared [`Cli::campaign_flags`] / [`Cli::protocol_flags`] blocks),
+/// then call [`Cli::parse`].
 pub struct Cli {
     bin: &'static str,
     about: &'static str,
     specs: Vec<FlagSpec>,
+    /// Placeholder and help line for bare (non-flag) arguments; `None`
+    /// rejects them.
+    positional: Option<(&'static str, &'static str)>,
 }
 
 /// The parsed command line: flag occurrences in order, queried through
 /// the typed accessors on this type.
 pub struct ParsedArgs {
     bin: &'static str,
+    usage: String,
     values: Vec<(&'static str, Option<String>)>,
+    positionals: Vec<String>,
 }
 
 impl Cli {
-    /// Starts a spec for binary `bin` with the one-line description
-    /// shown at the top of `--help`.
+    /// Starts a spec for command `bin` (as the user types it, e.g.
+    /// `tsocc sweep`) with the one-line description shown at the top
+    /// of `--help`.
     pub fn new(bin: &'static str, about: &'static str) -> Self {
         Cli {
             bin,
             about,
             specs: Vec::new(),
+            positional: None,
         }
+    }
+
+    /// Accepts any number of bare arguments (shown as `value...` in
+    /// the usage page), read back through [`ParsedArgs::positionals`].
+    pub fn positional(mut self, value: &'static str, help: &'static str) -> Self {
+        self.positional = Some((value, help));
+        self
     }
 
     /// Declares a flag that takes one value (shown as `value` in the
@@ -116,19 +132,10 @@ impl Cli {
         .switch("--all-configs", "run every sweep configuration instead")
     }
 
-    /// Parses the process arguments. Handles `--help`/`-h` (usage to
-    /// stdout, exit 0) and rejects anything not declared (usage to
-    /// stderr, exit 2).
-    pub fn parse(self) -> ParsedArgs {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        self.parse_rest(args)
-    }
-
-    /// [`Cli::parse`] over a caller-supplied argument list — the entry
-    /// point for binaries with subcommands, which strip the leading
-    /// subcommand word themselves and hand the remainder here. Same
-    /// strictness and `--help` handling as `parse`.
-    pub fn parse_rest(self, args: Vec<String>) -> ParsedArgs {
+    /// Parses a subcommand's arguments (everything after the
+    /// subcommand word). Handles `--help`/`-h` (usage to stdout, exit
+    /// 0) and rejects anything not declared (usage to stderr, exit 2).
+    pub fn parse(self, args: Vec<String>) -> ParsedArgs {
         if args.iter().any(|a| a == "--help" || a == "-h") {
             print!("{}", self.usage());
             std::process::exit(0);
@@ -145,8 +152,16 @@ impl Cli {
     /// The fallible core of [`Cli::parse`], separated for unit tests.
     fn try_parse(&self, args: &[String]) -> Result<ParsedArgs, String> {
         let mut values = Vec::new();
+        let mut positionals = Vec::new();
         let mut iter = args.iter().peekable();
         while let Some(arg) = iter.next() {
+            if !arg.starts_with('-') {
+                match self.positional {
+                    Some(_) => positionals.push(arg.clone()),
+                    None => return Err(format!("unexpected argument {arg:?}")),
+                }
+                continue;
+            }
             let spec = self
                 .specs
                 .iter()
@@ -172,7 +187,9 @@ impl Cli {
         }
         Ok(ParsedArgs {
             bin: self.bin,
+            usage: self.usage(),
             values,
+            positionals,
         })
     }
 
@@ -185,6 +202,9 @@ impl Cli {
                 Some(v) => page.push_str(&format!(" [{} {v}]", spec.name)),
                 None => page.push_str(&format!(" [{}]", spec.name)),
             }
+        }
+        if let Some((value, help)) = self.positional {
+            page.push_str(&format!(" {value}...\n\n  {value}  {help}"));
         }
         page.push_str("\n\nflags:\n");
         let width = self
@@ -201,14 +221,16 @@ impl Cli {
             };
             page.push_str(&format!("  {head:width$}  {}\n", spec.help));
         }
-        page.push_str("  --help            print this page\n");
+        page.push_str(&format!("  {:width$}  print this page\n", "--help"));
         page
     }
 }
 
 impl ParsedArgs {
-    fn bail(&self, msg: String) -> ! {
-        eprintln!("{}: {msg} (see --help)", self.bin);
+    /// Rejects the command line: `msg` and the usage page on stderr,
+    /// exit status 2 — the same exit an undeclared flag gets.
+    pub fn fail(&self, msg: impl std::fmt::Display) -> ! {
+        eprint!("{}: {msg}\n\n{}", self.bin, self.usage);
         std::process::exit(2);
     }
 
@@ -225,7 +247,7 @@ impl ParsedArgs {
     pub fn u64(&self, name: &str) -> Option<u64> {
         self.str(name).map(|v| {
             v.parse().unwrap_or_else(|_| {
-                self.bail(format!("{name} needs a numeric argument, got {v:?}"))
+                self.fail(format!("{name} needs a numeric argument, got {v:?}"))
             })
         })
     }
@@ -233,6 +255,37 @@ impl ParsedArgs {
     /// [`ParsedArgs::u64`] narrowed to `usize`.
     pub fn usize(&self, name: &str) -> Option<usize> {
         self.u64(name).map(|v| v as usize)
+    }
+
+    /// Last occurrence of a comma-separated list of numbers
+    /// (`--cores 2,4,8`); aborts on any entry that is not a number.
+    pub fn usize_list(&self, name: &str) -> Option<Vec<usize>> {
+        self.str(name).map(|v| {
+            v.split(',')
+                .map(|entry| {
+                    entry.trim().parse().unwrap_or_else(|_| {
+                        self.fail(format!(
+                            "{name} needs comma-separated numbers, got {entry:?} in {v:?}"
+                        ))
+                    })
+                })
+                .collect()
+        })
+    }
+
+    /// Last occurrence of a workload-scale flag; aborts on anything but
+    /// a [`Scale::name`].
+    pub fn scale(&self, name: &str) -> Option<Scale> {
+        self.str(name).map(|v| {
+            Scale::from_name(v).unwrap_or_else(|| {
+                self.fail(format!("{name} must be tiny, small or full, got {v:?}"))
+            })
+        })
+    }
+
+    /// The bare arguments, in order (see [`Cli::positional`]).
+    pub fn positionals(&self) -> &[String] {
+        &self.positionals
     }
 
     /// Whether a boolean switch was given.
@@ -256,7 +309,7 @@ impl ParsedArgs {
         let named = self.all("--protocol");
         if self.present("--all-configs") {
             if !named.is_empty() {
-                self.bail("--all-configs and --protocol are mutually exclusive".to_string());
+                self.fail("--all-configs and --protocol are mutually exclusive");
             }
             return Protocol::sweep_configs();
         }
@@ -267,7 +320,7 @@ impl ParsedArgs {
             .into_iter()
             .map(|name| {
                 Protocol::from_name(name).unwrap_or_else(|| {
-                    self.bail(format!("unknown protocol configuration {name:?}"))
+                    self.fail(format!("unknown protocol configuration {name:?}"))
                 })
             })
             .collect()
@@ -325,6 +378,22 @@ mod tests {
     fn unknown_flags_and_missing_values_are_rejected() {
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--seed"]).is_err());
+        // Bare words are only accepted by a spec that declares them.
+        assert!(parse(&["fig3"]).is_err());
+    }
+
+    #[test]
+    fn positionals_collect_in_order_around_flags() {
+        let owned: Vec<String> = ["fig3", "--seed", "4", "table1"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let args = spec()
+            .positional("SEL", "what to render")
+            .try_parse(&owned)
+            .unwrap();
+        assert_eq!(args.positionals(), ["fig3", "table1"]);
+        assert_eq!(args.u64("--seed"), Some(4));
     }
 
     #[test]

@@ -275,14 +275,11 @@ pub fn print_table3() {
 /// compromise, and the paper's TSO-CC in its realistic configuration.
 const SEPARATION_CONFIGS: [&str; 3] = ["MESI", "MESI-P4-G4", "TSO-CC-4-12-3"];
 
-/// Where the committed sweep artifact lives: `TSOCC_SWEEP_JSON`
-/// overrides; a repo-root invocation finds `BENCH_sweep.json` in the
-/// working directory; anything else (tests, odd CWDs) falls back to
-/// the copy next to this crate's workspace root.
+/// Where the committed sweep artifact lives: a repo-root invocation
+/// finds `BENCH_sweep.json` in the working directory; anything else
+/// (tests, odd CWDs) falls back to the copy next to this crate's
+/// workspace root.
 fn sweep_artifact_path() -> String {
-    if let Ok(p) = std::env::var("TSOCC_SWEEP_JSON") {
-        return p;
-    }
     let local = "BENCH_sweep.json";
     if std::path::Path::new(local).exists() {
         return local.to_string();
@@ -389,7 +386,7 @@ pub fn print_separation(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Every selection the `figures` binary accepts.
+/// Every selection `tsocc figures` accepts.
 pub const SELECTIONS: [&str; 13] = [
     "table1",
     "table2",
@@ -414,18 +411,12 @@ fn ensure_sweep(sweep: &mut Option<Sweep>, opts: crate::SweepOpts) -> &Sweep {
     sweep.as_ref().expect("just filled")
 }
 
-/// Renders one figure or table (or `all` of them, in the historical
-/// `all_figures` order), running the benchmark sweep only when the
-/// selection needs it. Returns an error listing the valid selections
-/// for anything unrecognized.
-pub fn render(selection: &str, opts: crate::SweepOpts) -> Result<(), String> {
-    render_all(&[selection], opts)
-}
-
-/// Renders several selections in order, sharing **one** benchmark
-/// sweep across all of them (the sweep dominates the cost, so
-/// `figures fig3 fig5` must not run it twice). Every selection is
-/// validated before any work starts.
+/// Renders several figures or tables in order (`all` is every one of
+/// them), sharing **one** benchmark sweep across all of them and
+/// running it only when a selection needs it (the sweep dominates the
+/// cost, so `figures fig3 fig5` must not run it twice). Every
+/// selection is validated before any work starts; an unrecognized one
+/// is an error listing the valid selections.
 pub fn render_all<S: AsRef<str>>(selections: &[S], opts: crate::SweepOpts) -> Result<(), String> {
     for s in selections {
         if !SELECTIONS.contains(&s.as_ref()) {

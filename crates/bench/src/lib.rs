@@ -1,22 +1,16 @@
-//! Evaluation harness: regenerates every table and figure of the paper.
+//! Evaluation harness: the sweep engine, every table and figure of the
+//! paper, and the command-line and JSON plumbing the `tsocc` binary
+//! (in `tsocc-orch`) is built from.
 //!
-//! The `figures` binary reproduces any table or figure via a
-//! subcommand (`figures fig3`, `figures table1`, …; see DESIGN.md §6);
-//! `figures all` — aliased by the `all_figures` binary — runs the
-//! benchmark sweep once and prints everything. `litmus`,
-//! `sweep_baseline`, `ablation` and `conform_campaign` cover the
-//! remaining entry points.
-//!
-//! Environment knobs (read by [`SweepOpts::from_env`]):
-//!
-//! - `TSOCC_CORES` — core count (default 32, the paper's Table 2),
-//! - `TSOCC_SCALE` — `tiny` / `small` / `full` workload scale,
-//! - `TSOCC_SEED` — simulation seed,
-//! - `TSOCC_THREADS` — sweep worker threads (default: one per CPU).
-//!
-//! Sweeps fan configuration points out over worker threads with
-//! deterministic per-point seeds (see [`sweep::run_points`]); serial
-//! and parallel runs produce identical results.
+//! - [`sweep`] runs configuration points (benchmark × protocol ×
+//!   machine) on worker threads with deterministic per-point seeds
+//!   (see [`sweep::run_points`]); serial and parallel runs produce
+//!   identical results. [`sweep::fan_out`] is the worker pool.
+//! - [`figures`] renders Tables 1–3 and Figures 2–9 from one sweep
+//!   (`tsocc figures fig3`, `tsocc figures all`, …).
+//! - [`cli`] is the one flag parser every `tsocc` subcommand declares
+//!   its flags against; [`json`] and [`hang`] write (and read back) the
+//!   JSON reports.
 
 pub mod cli;
 pub mod figures;

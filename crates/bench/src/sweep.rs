@@ -1,5 +1,8 @@
 //! The sweep engine: runs a matrix of (benchmark × protocol × machine)
 //! configuration points, fanning the points out over worker threads.
+//! Its shared-counter pool, [`fan_out`], is the workspace's one worker
+//! pool: the orchestrator's cache-aware executor runs its jobs on it
+//! too.
 //!
 //! Each point gets a **deterministic seed** derived from the base seed
 //! and the point's identity (benchmark, protocol, core count) — never
@@ -45,38 +48,6 @@ impl Default for SweepOpts {
             seed: 0xC0FFEE,
             threads: 0,
         }
-    }
-}
-
-impl SweepOpts {
-    /// Reads `TSOCC_CORES`, `TSOCC_SCALE`, `TSOCC_SEED` and
-    /// `TSOCC_THREADS` from the environment, falling back to the paper
-    /// defaults.
-    pub fn from_env() -> Self {
-        let mut opts = SweepOpts::default();
-        if let Ok(v) = std::env::var("TSOCC_CORES") {
-            if let Ok(n) = v.parse() {
-                opts.n_cores = n;
-            }
-        }
-        if let Ok(v) = std::env::var("TSOCC_SCALE") {
-            opts.scale = match v.to_ascii_lowercase().as_str() {
-                "tiny" => Scale::Tiny,
-                "full" => Scale::Full,
-                _ => Scale::Small,
-            };
-        }
-        if let Ok(v) = std::env::var("TSOCC_SEED") {
-            if let Ok(n) = v.parse() {
-                opts.seed = n;
-            }
-        }
-        if let Ok(v) = std::env::var("TSOCC_THREADS") {
-            if let Ok(n) = v.parse() {
-                opts.threads = n;
-            }
-        }
-        opts
     }
 }
 
@@ -137,7 +108,7 @@ impl SweepPoint {
     }
 
     /// Runs this point under a specific [`Stepper`] — the hook behind
-    /// the baseline's stepper-parity leg, which re-runs the whole
+    /// the drift check's stepper-parity leg, which re-runs the whole
     /// matrix under `Reference` and diffs the results (including the
     /// memory fingerprint) against the default.
     pub fn run_with_stepper(&self, base_seed: u64, stepper: Stepper) -> PointResult {
@@ -242,10 +213,9 @@ impl PointResult {
 
 /// The committed-baseline matrix (`BENCH_sweep.json`): every sweep
 /// protocol configuration ([`Protocol::sweep_configs`]) at each core
-/// count, on the fft benchmark. The `sweep_baseline` writer, its drift
-/// checker, and the orchestrator's `sweep` subcommand all build the
-/// matrix through this one function, so they can never disagree on its
-/// shape.
+/// count, on the fft benchmark. The `tsocc sweep` writer and its
+/// `--check` drift checker both build the matrix through this one
+/// function, so they can never disagree on its shape.
 pub fn baseline_matrix(scale: Scale, core_counts: &[usize]) -> Vec<SweepPoint> {
     let mut points = Vec::new();
     for &n_cores in core_counts {
@@ -261,60 +231,42 @@ pub fn baseline_matrix(scale: Scale, core_counts: &[usize]) -> Vec<SweepPoint> {
     points
 }
 
-/// How many workers a fan-out should actually use.
-fn effective_threads(requested: usize, n_points: usize) -> usize {
+/// How many workers a fan-out of `n_items` actually uses when
+/// `requested` of them are asked for (`0` = one per available CPU).
+pub fn effective_threads(requested: usize, n_items: usize) -> usize {
     let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
     let t = if requested == 0 { auto } else { requested };
-    t.clamp(1, n_points.max(1))
+    t.clamp(1, n_items.max(1))
 }
 
-/// Runs `points` on `threads` workers (0 = one per CPU) and returns the
-/// results in point order.
+/// The one worker pool: runs `work(i)` for every `i` in `0..n_items`
+/// on `threads` workers (see [`effective_threads`]) and returns the
+/// results in index order.
 ///
-/// Workers pull points off a shared counter, so long points do not
-/// stall the queue behind them. Results are keyed by point index:
-/// output order (and content, thanks to per-point seeds) is identical
-/// no matter the interleaving.
+/// Workers pull indices off a shared counter, so a long item does not
+/// stall the items behind it. Results are keyed by index: output order
+/// (and content, as long as `work` depends only on its index) is
+/// identical no matter the interleaving.
 ///
 /// # Panics
 ///
-/// Panics if any point fails to complete (propagated from the worker).
-pub fn run_points(points: &[SweepPoint], threads: usize, base_seed: u64) -> Vec<PointResult> {
-    run_points_with(points, threads, base_seed, Stepper::default())
-}
-
-/// [`run_points`] under a specific [`Stepper`] (the stepper-parity leg
-/// of `sweep_baseline` re-runs the matrix under `Reference` through
-/// this).
-pub fn run_points_with(
-    points: &[SweepPoint],
+/// Propagates a panic from any `work` call.
+pub fn fan_out<T: Send>(
+    n_items: usize,
     threads: usize,
-    base_seed: u64,
-    stepper: Stepper,
-) -> Vec<PointResult> {
-    let threads = effective_threads(threads, points.len());
+    work: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let threads = effective_threads(threads, n_items);
     let next = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<PointResult>>> = points.iter().map(|_| Mutex::new(None)).collect();
-    let start = Instant::now();
+    let slots: Vec<Mutex<Option<T>>> = (0..n_items).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(point) = points.get(i) else { break };
-                let result = point.run_with_stepper(base_seed, stepper);
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                eprintln!(
-                    "[{:>7.1?}] {:>3}/{} {:<16} {:<16} {:>12} cycles ({:.1?})",
-                    start.elapsed(),
-                    finished,
-                    points.len(),
-                    result.bench,
-                    result.config,
-                    result.stats.cycles,
-                    result.wall,
-                );
-                *slots[i].lock().unwrap() = Some(result);
+                if i >= n_items {
+                    break;
+                }
+                *slots[i].lock().unwrap() = Some(work(i));
             });
         }
     });
@@ -326,6 +278,45 @@ pub fn run_points_with(
                 .expect("every slot filled once the scope joins")
         })
         .collect()
+}
+
+/// Runs `points` on `threads` workers (0 = one per CPU) through
+/// [`fan_out`] and returns the results in point order, printing one
+/// progress line per finished point to stderr.
+///
+/// # Panics
+///
+/// Panics if any point fails to complete (propagated from the worker).
+pub fn run_points(points: &[SweepPoint], threads: usize, base_seed: u64) -> Vec<PointResult> {
+    run_points_with(points, threads, base_seed, Stepper::default())
+}
+
+/// [`run_points`] under a specific [`Stepper`] (the stepper-parity leg
+/// of `tsocc sweep --check` re-runs the matrix under `Reference`
+/// through this).
+pub fn run_points_with(
+    points: &[SweepPoint],
+    threads: usize,
+    base_seed: u64,
+    stepper: Stepper,
+) -> Vec<PointResult> {
+    let done = AtomicUsize::new(0);
+    let start = Instant::now();
+    fan_out(points.len(), threads, |i| {
+        let result = points[i].run_with_stepper(base_seed, stepper);
+        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+        eprintln!(
+            "[{:>7.1?}] {:>3}/{} {:<16} {:<16} {:>12} cycles ({:.1?})",
+            start.elapsed(),
+            finished,
+            points.len(),
+            result.bench,
+            result.config,
+            result.stats.cycles,
+            result.wall,
+        );
+        result
+    })
 }
 
 /// Results of one full sweep, keyed by (benchmark, configuration).
@@ -372,20 +363,7 @@ impl Sweep {
     /// progress to stderr.
     pub fn run(opts: SweepOpts) -> Sweep {
         let points = Sweep::paper_points(&opts);
-        let results = run_points(&points, opts.threads, opts.seed);
-        Sweep::from_results(opts, results)
-    }
-
-    /// Runs the full sweep on the calling thread only (the reference
-    /// mode the parallel engine is checked against).
-    pub fn run_serial(opts: SweepOpts) -> Sweep {
-        let points = Sweep::paper_points(&opts);
-        let results = run_points(&points, 1, opts.seed);
-        Sweep::from_results(opts, results)
-    }
-
-    fn from_results(opts: SweepOpts, results: Vec<PointResult>) -> Sweep {
-        let results = results
+        let results = run_points(&points, opts.threads, opts.seed)
             .into_iter()
             .map(|r| ((r.bench, r.config), r.stats))
             .collect();
@@ -427,7 +405,7 @@ mod tests {
     }
 
     #[test]
-    fn env_parsing_defaults() {
+    fn default_opts_are_the_papers() {
         let o = SweepOpts::default();
         assert_eq!(o.n_cores, 32);
         assert!(matches!(o.scale, Scale::Small));

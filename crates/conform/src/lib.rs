@@ -25,9 +25,9 @@
 //! - [`mod@shrink`] — the counterexample shrinker;
 //! - [`engine`] — the multi-threaded campaign driver and its report.
 //!
-//! The `conform_campaign` binary in `tsocc-bench` wraps [`engine`] with
-//! CLI flags and a JSON report; CI runs a budgeted smoke on every PR
-//! and a long nightly campaign.
+//! `tsocc conform` (the `tsocc` binary lives in `tsocc-orch`) wraps
+//! [`engine`] with CLI flags and a JSON report; CI runs a budgeted
+//! smoke on every PR and a long nightly campaign.
 
 pub mod compile;
 pub mod engine;

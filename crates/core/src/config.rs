@@ -486,7 +486,7 @@ mod tests {
 
     /// The builder's derived fields must keep producing exactly the
     /// machines the (now removed) `table2_with_cores`/`small_test`
-    /// constructors produced — `sweep_baseline --check` holds the
+    /// constructors produced — `tsocc sweep --check` holds the
     /// simulated metrics byte-exact across history, and this pins the
     /// config layer it rests on.
     #[test]

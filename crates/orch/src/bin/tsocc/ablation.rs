@@ -1,4 +1,4 @@
-//! Ablation sweeps over TSO-CC's design parameters (§4.2's
+//! `tsocc ablation`: sweeps over TSO-CC's design parameters (§4.2's
 //! design-space exploration, beyond the seven headline configurations):
 //!
 //! - `Bmaxacc`: the Shared-line access budget (the paper fixed 4 bits =
@@ -9,15 +9,11 @@
 //! - decay threshold for the Shared→SharedRO transition.
 //!
 //! ```text
-//! ablation [--cores N] [--seed N] [--json PATH]
+//! tsocc ablation [--cores N] [--seed N] [--json PATH]
 //! ```
 //!
-//! Defaults: 16 cores, seed 7 (the same flag vocabulary as
-//! `sweep_baseline`/`conform_campaign`; the old `TSOCC_CORES` /
-//! `TSOCC_SEED` env knobs are gone). `--json` additionally writes every
-//! row as a machine-readable `tsocc-ablation/v1` report. Flags parse
-//! through the shared [`tsocc_bench::cli`] surface: `--help` documents
-//! them and anything undeclared exits 2.
+//! Defaults: 16 cores, seed 7. `--json` additionally writes every row
+//! as a machine-readable `tsocc-ablation/v1` report.
 
 use tsocc::SystemConfig;
 use tsocc_bench::cli::Cli;
@@ -26,31 +22,7 @@ use tsocc_proto::{TsParams, TsoCcConfig};
 use tsocc_protocols::Protocol;
 use tsocc_workloads::{run_workload, Benchmark, Scale};
 
-struct Args {
-    cores: usize,
-    seed: u64,
-    json_out: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let args = Cli::new(
-        "ablation",
-        "ablation sweeps over TSO-CC's design parameters",
-    )
-    .opt("--cores", "N", "core count")
-    .opt("--seed", "N", "base simulation seed")
-    .opt(
-        "--json",
-        "PATH",
-        "also write a tsocc-ablation/v1 JSON report",
-    )
-    .parse();
-    Args {
-        cores: args.usize("--cores").unwrap_or(16),
-        seed: args.u64("--seed").unwrap_or(7),
-        json_out: args.str("--json").map(str::to_string),
-    }
-}
+pub const ABOUT: &str = "ablation sweeps over TSO-CC's design parameters";
 
 fn run(protocol: Protocol, n_cores: usize, bench: Benchmark, seed: u64) -> tsocc::RunStats {
     let w = bench.build(n_cores, Scale::Small, seed);
@@ -90,9 +62,18 @@ fn row(
     );
 }
 
-fn main() {
-    let args = parse_args();
-    let (n, seed) = (args.cores, args.seed);
+pub fn main(args: Vec<String>) {
+    let args = Cli::new("tsocc ablation", ABOUT)
+        .opt("--cores", "N", "core count (default 16)")
+        .opt("--seed", "N", "base simulation seed (default 7)")
+        .opt(
+            "--json",
+            "PATH",
+            "also write a tsocc-ablation/v1 JSON report",
+        )
+        .parse(args);
+    let n = args.usize("--cores").unwrap_or(16);
+    let seed = args.u64("--seed").unwrap_or(7);
     let mut rows: Vec<String> = Vec::new();
 
     println!("== Ablation 1: Shared-line access budget (max_acc), x264 wavefront ==");
@@ -224,7 +205,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = args.json_out {
+    if let Some(path) = args.str("--json") {
         let doc = json::Object::new()
             .str("schema", "tsocc-ablation/v1")
             .u64("cores", n as u64)
@@ -232,7 +213,7 @@ fn main() {
             .u64("rows_total", rows.len() as u64)
             .raw("rows", json::array(rows))
             .build();
-        std::fs::write(&path, doc + "\n").expect("write ablation report");
+        std::fs::write(path, doc + "\n").expect("write ablation report");
         eprintln!("wrote {path}");
     }
 }

@@ -1,19 +1,13 @@
-//! Exhaustive model-checking entry point: runs the stateless DPOR
+//! `tsocc check`: exhaustive model checking — runs the stateless DPOR
 //! checker (`tsocc-check`) over the systematic two-thread litmus family
 //! for every selected protocol and writes a JSON report.
 //!
 //! ```text
-//! model_check [--budget-ms N] [--seed N] [--out PATH]
+//! tsocc check [--budget-ms N] [--seed N] [--out PATH]
 //!             [--protocol NAME]... [--all-configs]
 //!             [--cores N] [--lines N] [--ops N]
 //!             [--naive-cap N] [--mutations]
-//!             [--cache-dir PATH] [--no-cache]
 //! ```
-//!
-//! `--cache-dir` serves an unchanged all-clean clean-mode run from the
-//! orchestrator's content-addressed result store (summary metrics,
-//! exit 0). Violating, budget-exhausted, and `--mutations` runs are
-//! never cached — their diagnostics are always regenerated.
 //!
 //! Defaults: 120 s budget, seed 0, 2 cores, a 1-line address pool,
 //! 2 ops per thread, the three protocol families (MESI, MESI-P2-G2,
@@ -46,10 +40,11 @@ use tsocc_check::{
 use tsocc_coherence::FaultPlan;
 use tsocc_conform::{litmus_text, op_count};
 use tsocc_mesi_coarse::MesiCoarseConfig;
-use tsocc_orch::BinCache;
 use tsocc_proto::TsoCcConfig;
 use tsocc_protocols::Protocol;
 use tsocc_workloads::tso_model::{generate_two_thread_programs, ModelOp, ModelProgram};
+
+pub const ABOUT: &str = "exhaustive stateless DPOR model checking of the coherence protocols";
 
 fn sb() -> ModelProgram {
     let st = |addr, value| ModelOp::Store { addr, value };
@@ -75,12 +70,8 @@ struct ProtocolResult {
     budget_exhausted: bool,
 }
 
-fn main() {
-    let args = BinCache::flags(
-        Cli::new(
-            "model_check",
-            "exhaustive stateless DPOR model checking of the coherence protocols",
-        )
+pub fn main(args: Vec<String>) {
+    let args = Cli::new("tsocc check", ABOUT)
         .campaign_flags()
         .protocol_flags()
         .opt("--cores", "N", "core count (threads beyond 2 stay idle)")
@@ -91,9 +82,8 @@ fn main() {
             "N",
             "schedule cap for the no-DPOR reduction probe (0 disables)",
         )
-        .switch("--mutations", "run the protocol-fault mutation leg instead"),
-    )
-    .parse();
+        .switch("--mutations", "run the protocol-fault mutation leg instead")
+        .parse(args);
 
     let budget = Duration::from_millis(args.u64("--budget-ms").unwrap_or(120_000));
     let seed = args.u64("--seed").unwrap_or(0);
@@ -118,41 +108,6 @@ fn main() {
     let start = Instant::now();
     if args.present("--mutations") {
         run_mutation_mode(cores, lines, seed, budget, start, &out);
-        return;
-    }
-
-    let cache = BinCache::from_args(&args);
-    // The budget and probe cap shape completeness and the probe's
-    // reported ratio, so they are part of the identity; the protocol
-    // list is keyed by display names.
-    let protocol_names: Vec<String> = protocols.iter().map(|p| p.name()).collect();
-    let canonical = format!(
-        "kind=model_check;cores={cores};lines={lines};ops={ops};naive_cap={naive_cap};\
-         budget_ms={};protocols={}",
-        budget.as_millis(),
-        protocol_names.join(",")
-    );
-    if let Some(record) = cache.lookup("model_check", &canonical) {
-        let doc = json::Object::new()
-            .str("schema", "tsocc-model-check/v1")
-            .raw("cached", "true")
-            .str("canonical", &canonical)
-            .raw(
-                "metrics",
-                record
-                    .metrics
-                    .iter()
-                    .fold(json::Object::new(), |o, (k, v)| o.u64(k, *v))
-                    .build(),
-            )
-            .raw("compute_wall_seconds", &record.wall_raw)
-            .raw("cache", cache.stats_json())
-            .build();
-        std::fs::write(&out, doc + "\n").expect("write model-check report");
-        eprintln!(
-            "model check served from cache (originally {}s); wrote abbreviated {out}",
-            record.wall_raw
-        );
         return;
     }
 
@@ -289,7 +244,6 @@ fn main() {
         .raw("protocols", json::array(protocol_docs))
         .raw("reduction_probe", probe)
         .raw("all_clean", bool_json(all_clean))
-        .raw("cache", cache.stats_json())
         .f64("elapsed_seconds", start.elapsed().as_secs_f64())
         .build();
     std::fs::write(&out, doc + "\n").expect("write model-check report");
@@ -297,27 +251,6 @@ fn main() {
     if !all_clean {
         std::process::exit(1);
     }
-    let totals = |f: fn(&ProtocolResult) -> u64| results.iter().map(f).sum::<u64>();
-    cache.store_clean(
-        "model_check",
-        "model_check",
-        &canonical,
-        vec![
-            (
-                "programs_checked".to_string(),
-                totals(|r| r.programs_checked as u64),
-            ),
-            ("schedules".to_string(), totals(|r| r.report.schedules)),
-            ("transitions".to_string(), totals(|r| r.report.transitions)),
-            (
-                "sleep_blocked".to_string(),
-                totals(|r| r.report.sleep_blocked),
-            ),
-            ("violations_total".to_string(), 0),
-            ("dpor_schedules".to_string(), dpor.schedules),
-        ],
-        start.elapsed().as_secs_f64(),
-    );
 }
 
 fn run_mutation_mode(

@@ -1,13 +1,12 @@
-//! The conformance campaign entry point (§4.3 grown into CI): runs a
-//! budgeted randomized N-thread litmus campaign against the operational
-//! memory-model oracle and writes a JSON report.
+//! `tsocc conform`: the conformance campaign (§4.3 grown into CI) —
+//! runs a budgeted randomized N-thread litmus campaign against the
+//! operational memory-model oracle and writes a JSON report.
 //!
 //! ```text
-//! conform_campaign [--budget-ms N] [--seed N] [--threads N]
-//!                  [--min-programs N] [--max-programs N]
-//!                  [--cores N] [--iters N] [--oracle tso|sc]
-//!                  [--all-configs] [--protocol NAME]... [--out PATH]
-//!                  [--cache-dir PATH] [--no-cache]
+//! tsocc conform [--budget-ms N] [--seed N] [--jobs N]
+//!               [--min-programs N] [--max-programs N]
+//!               [--cores N] [--iters N] [--oracle tso|sc]
+//!               [--all-configs] [--protocol NAME]... [--out PATH]
 //! ```
 //!
 //! Defaults: 2000 ms budget, ≥ 500 programs, 3 threads per program,
@@ -20,35 +19,26 @@
 //! demonstrates (and in CI smoke-tests) the catcher + shrinker end to
 //! end.
 //!
-//! `--cache-dir` serves an unchanged *clean* TSO-oracle run from the
-//! orchestrator's content-addressed result store (summary metrics in an
-//! abbreviated report, exit 0) instead of recomputing; violating runs
-//! and `--oracle sc` runs are never cached, so their full diagnostics
-//! are always regenerated.
-//!
 //! Exit status: nonzero iff violations were found under the TSO oracle
 //! (under `--oracle sc` violations are the expected outcome and the
 //! exit flips: zero iff at least one violation was caught and shrunk).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tsocc_bench::cli::Cli;
 use tsocc_bench::json;
 use tsocc_conform::{litmus_text, op_count, run_campaign, CampaignOpts, GenConfig};
-use tsocc_orch::{BinCache, JobSpec};
 use tsocc_proto::TsoCcConfig;
 use tsocc_protocols::Protocol;
 use tsocc_workloads::tso_model::ModelMode;
 
-fn parse_args() -> (CampaignOpts, String, BinCache) {
-    let args = BinCache::flags(
-        Cli::new(
-            "conform_campaign",
-            "budgeted randomized litmus campaign against the TSO/SC oracle",
-        )
+pub const ABOUT: &str = "budgeted randomized litmus campaign against the TSO/SC oracle";
+
+fn parse_args(args: Vec<String>) -> (CampaignOpts, String) {
+    let args = Cli::new("tsocc conform", ABOUT)
         .campaign_flags()
         .protocol_flags()
-        .opt("--threads", "N", "sweep worker threads")
+        .opt("--jobs", "N", "campaign worker threads (0 = one per CPU)")
         .opt("--min-programs", "N", "minimum programs to check")
         .opt("--max-programs", "N", "maximum programs to check")
         .opt("--cores", "N", "threads per generated program")
@@ -57,9 +47,8 @@ fn parse_args() -> (CampaignOpts, String, BinCache) {
             "--oracle",
             "tso|sc",
             "memory-model oracle (sc injects a deliberate mismatch)",
-        ),
-    )
-    .parse();
+        )
+        .parse(args);
     let mut opts = CampaignOpts {
         budget: Duration::from_millis(2000),
         min_programs: 500,
@@ -75,7 +64,7 @@ fn parse_args() -> (CampaignOpts, String, BinCache) {
     if let Some(seed) = args.u64("--seed") {
         opts.seed = seed;
     }
-    if let Some(workers) = args.usize("--threads") {
+    if let Some(workers) = args.usize("--jobs") {
         opts.workers = workers;
     }
     if let Some(n) = args.usize("--min-programs") {
@@ -93,7 +82,7 @@ fn parse_args() -> (CampaignOpts, String, BinCache) {
     opts.oracle = match args.str("--oracle") {
         None | Some("tso") => ModelMode::Tso,
         Some("sc") => ModelMode::Sc,
-        Some(other) => panic!("--oracle must be tso or sc, got {other:?}"),
+        Some(other) => args.fail(format!("--oracle must be tso or sc, got {other:?}")),
     };
     opts.protocols = args.protocols(vec![
         Protocol::Mesi,
@@ -103,53 +92,11 @@ fn parse_args() -> (CampaignOpts, String, BinCache) {
         .str("--out")
         .unwrap_or("CONFORM_report.json")
         .to_string();
-    (opts, out, BinCache::from_args(&args))
+    (opts, out)
 }
 
-/// The cached summary metrics, in record order.
-const CACHED_METRICS: [&str; 6] = [
-    "programs_checked",
-    "programs_skipped",
-    "sim_runs",
-    "allowed_outcomes_total",
-    "observed_outcomes_total",
-    "violations_total",
-];
-
-fn main() {
-    let (opts, out_path, cache) = parse_args();
-    // The job identity is the orchestrator's: same canonical string,
-    // same cache records, whether a run arrives through this binary or
-    // through `orchestrate campaign`.
-    let canonical = JobSpec::Conform {
-        label: "conform_campaign".to_string(),
-        opts: opts.clone(),
-    }
-    .canonical();
-    if let Some(record) = cache.lookup("conform", &canonical) {
-        let doc = json::Object::new()
-            .str("schema", "tsocc-conform-campaign/v1")
-            .raw("cached", "true")
-            .str("canonical", &canonical)
-            .raw(
-                "metrics",
-                record
-                    .metrics
-                    .iter()
-                    .fold(json::Object::new(), |o, (k, v)| o.u64(k, *v))
-                    .build(),
-            )
-            .raw("compute_wall_seconds", &record.wall_raw)
-            .raw("cache", cache.stats_json())
-            .build();
-        std::fs::write(&out_path, doc + "\n").expect("write campaign report");
-        eprintln!(
-            "conform campaign served from cache (originally {}s); wrote abbreviated {out_path}",
-            record.wall_raw
-        );
-        return;
-    }
-    let t = Instant::now();
+pub fn main(args: Vec<String>) {
+    let (opts, out_path) = parse_args(args);
     let report = run_campaign(&opts);
     eprintln!("{}", report.summary());
 
@@ -205,37 +152,10 @@ fn main() {
         .u64("observed_outcomes_total", report.observed_outcomes_total)
         .u64("violations_total", report.violations_total)
         .raw("violations", json::array(violations))
-        .raw("cache", cache.stats_json())
         .f64("elapsed_seconds", report.elapsed.as_secs_f64())
         .build();
     std::fs::write(&out_path, doc + "\n").expect("write campaign report");
     eprintln!("wrote {out_path}");
-
-    // Only a clean real-oracle run is worth serving later; SC runs
-    // exist to produce violations and violating runs need their full
-    // diagnostics regenerated.
-    if opts.oracle == ModelMode::Tso && report.violations_total == 0 {
-        let values = [
-            report.programs_checked as u64,
-            report.programs_skipped as u64,
-            report.sim_runs,
-            report.allowed_outcomes_total,
-            report.observed_outcomes_total,
-            report.violations_total,
-        ];
-        let metrics = CACHED_METRICS
-            .iter()
-            .zip(values)
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        cache.store_clean(
-            "conform",
-            "conform_campaign",
-            &canonical,
-            metrics,
-            t.elapsed().as_secs_f64(),
-        );
-    }
 
     let failed = match opts.oracle {
         // Real oracle: any violation is a conformance bug.

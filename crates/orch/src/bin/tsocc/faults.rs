@@ -1,20 +1,16 @@
-//! Mutation testing for the verification stack: injects every
-//! protocol-layer fault the simulator supports and demands that the
-//! existing oracles — litmus forbidden outcomes and the
-//! deadlock/liveness detector — catch **all** of them. A mutation that
-//! slips through means the test suite has a blind spot, and the
+//! `tsocc faults`: mutation testing for the verification stack —
+//! injects every protocol-layer fault the simulator supports and
+//! demands that the existing oracles — litmus forbidden outcomes and
+//! the deadlock/liveness detector — catch **all** of them. A mutation
+//! that slips through means the test suite has a blind spot, and the
 //! campaign fails the build.
 //!
 //! ```text
-//! fault_campaign [--budget-ms N] [--seed N] [--iters N] [--out PATH]
-//!                [--cache-dir PATH] [--no-cache]
+//! tsocc faults [--budget-ms N] [--seed N] [--iters N] [--out PATH]
 //! ```
 //!
 //! Defaults: no time budget, seed 7, 8 iterations per (mutation,
-//! litmus test), `FAULT_campaign.json`. `--cache-dir` serves an
-//! unchanged all-ok run from the orchestrator's content-addressed
-//! result store (summary metrics, exit 0); any run with a failing leg
-//! is never cached, so its diagnostics are always regenerated.
+//! litmus test), `FAULT_campaign.json`.
 //!
 //! The matrix has two kinds of legs:
 //!
@@ -43,10 +39,11 @@ use tsocc_bench::json;
 use tsocc_conform::{run_campaign, CampaignOpts, GenConfig};
 use tsocc_mem::LineAddr;
 use tsocc_mesi_coarse::MesiCoarseConfig;
-use tsocc_orch::BinCache;
 use tsocc_proto::TsoCcConfig;
 use tsocc_protocols::Protocol;
 use tsocc_workloads::litmus::{litmus_suite, run_litmus_faulted, FaultVerdict};
+
+pub const ABOUT: &str = "mutation testing of the verification oracles via injected protocol faults";
 
 /// Which detector a leg runs its fault plan under.
 enum Oracle {
@@ -202,16 +199,11 @@ struct LegResult {
     ok: bool,
 }
 
-fn main() {
-    let args = BinCache::flags(
-        Cli::new(
-            "fault_campaign",
-            "mutation testing of the verification oracles via injected protocol faults",
-        )
+pub fn main(args: Vec<String>) {
+    let args = Cli::new("tsocc faults", ABOUT)
         .campaign_flags()
-        .opt("--iters", "N", "iterations per (mutation, litmus test)"),
-    )
-    .parse();
+        .opt("--iters", "N", "iterations per (mutation, litmus test)")
+        .parse(args);
     let budget = args
         .u64("--budget-ms")
         .map_or(Duration::MAX, Duration::from_millis);
@@ -221,41 +213,6 @@ fn main() {
         .str("--out")
         .unwrap_or("FAULT_campaign.json")
         .to_string();
-    let cache = BinCache::from_args(&args);
-    // The leg matrix is code, so it lives in the fingerprint, not the
-    // key; the budget shapes how far each leg walks the litmus suite,
-    // so it is part of the identity.
-    let canonical = format!(
-        "kind=fault;seed={seed};iters={iters};budget_ms={}",
-        if budget == Duration::MAX {
-            u64::MAX
-        } else {
-            budget.as_millis() as u64
-        }
-    );
-    if let Some(record) = cache.lookup("fault", &canonical) {
-        let doc = json::Object::new()
-            .str("schema", "tsocc-fault-campaign/v1")
-            .raw("cached", "true")
-            .str("canonical", &canonical)
-            .raw(
-                "metrics",
-                record
-                    .metrics
-                    .iter()
-                    .fold(json::Object::new(), |o, (k, v)| o.u64(k, *v))
-                    .build(),
-            )
-            .raw("compute_wall_seconds", &record.wall_raw)
-            .raw("cache", cache.stats_json())
-            .build();
-        std::fs::write(&out, doc + "\n").expect("write fault campaign report");
-        eprintln!(
-            "fault campaign served from cache (originally {}s); wrote abbreviated {out}",
-            record.wall_raw
-        );
-        return;
-    }
 
     let start = Instant::now();
     let suite = litmus_suite();
@@ -397,7 +354,6 @@ fn main() {
         .u64("mutations_detected", caught as u64)
         .raw("all_ok", if all_ok { "true" } else { "false" })
         .raw("legs", json::array(legs))
-        .raw("cache", cache.stats_json())
         .f64("elapsed_seconds", start.elapsed().as_secs_f64())
         .build();
     std::fs::write(&out, doc + "\n").expect("write fault campaign report");
@@ -408,15 +364,4 @@ fn main() {
     if !all_ok {
         std::process::exit(1);
     }
-    cache.store_clean(
-        "fault",
-        "fault_campaign",
-        &canonical,
-        vec![
-            ("legs".to_string(), results.len() as u64),
-            ("mutations".to_string(), mutations as u64),
-            ("mutations_detected".to_string(), caught as u64),
-        ],
-        start.elapsed().as_secs_f64(),
-    );
 }

@@ -1,14 +1,26 @@
-//! §4.3 verification: runs the TSO litmus suite against every protocol
-//! configuration and reports forbidden-outcome counts.
-//! Env: TSOCC_LITMUS_ITERS (default 200).
+//! `tsocc litmus`: the §4.3 verification — runs the TSO litmus suite
+//! against every paper protocol configuration, prints the outcome
+//! histograms, and exits 1 on any forbidden outcome.
+//!
+//! ```text
+//! tsocc litmus [--iters N]
+//! ```
+
+use tsocc_bench::cli::Cli;
 use tsocc_protocols::Protocol;
 use tsocc_workloads::{litmus_suite, run_litmus};
 
-fn main() {
-    let iters: u64 = std::env::var("TSOCC_LITMUS_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
+pub const ABOUT: &str = "run the TSO litmus suite on every paper configuration";
+
+pub fn main(args: Vec<String>) {
+    let args = Cli::new("tsocc litmus", ABOUT)
+        .opt(
+            "--iters",
+            "N",
+            "iterations per (test, configuration) (default 200)",
+        )
+        .parse(args);
+    let iters = args.u64("--iters").unwrap_or(200);
     let mut failures = 0u64;
     println!(
         "{:<16} {:<16} {:>6} {:>10} {:>8}  outcomes",

@@ -8,7 +8,7 @@
 //! the store never rewrites a record in place — a record is either
 //! absent, valid, or *evicted* (deleted) the moment validation fails,
 //! and a changed tree simply addresses different keys, leaving the old
-//! generation behind for `orchestrate status` to report as stale.
+//! generation behind for `tsocc status` to report as stale.
 //!
 //! Lookup is paranoid by design: before a record is served, the store
 //! re-parses it, recomputes its integrity checksum, and compares the
@@ -204,7 +204,7 @@ impl CacheStats {
     }
 }
 
-/// What `orchestrate status` reports about a cache directory.
+/// What `tsocc status` reports about a cache directory.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ScanSummary {
     /// Valid records addressed by the *current* code fingerprint.
@@ -324,7 +324,7 @@ impl ResultCache {
     }
 
     /// Walks every record file in the store and classifies it against
-    /// the current fingerprint (the `orchestrate status` scan). Invalid
+    /// the current fingerprint (the `tsocc status` scan). Invalid
     /// files are counted but left in place — they are only evicted when
     /// a lookup actually trips over them.
     pub fn scan(&self) -> ScanSummary {
@@ -349,90 +349,6 @@ impl ResultCache {
             }
         }
         summary
-    }
-}
-
-/// The campaign binaries' one-stop cache integration: resolves the
-/// shared `--cache-dir PATH` / `--no-cache` flag pair into an optional
-/// store and wraps the lookup/store-when-clean protocol every binary
-/// follows. A binary whose whole run is one job (the campaign entry
-/// points, as opposed to the orchestrator's per-point jobs) serves its
-/// *summary metrics* from the cache and skips recomputation only for
-/// runs that previously succeeded — failing runs are never stored, so
-/// their full diagnostics are always regenerated.
-pub struct BinCache {
-    cache: Option<ResultCache>,
-}
-
-impl BinCache {
-    /// The flag declarations [`BinCache::from_args`] consumes; chain
-    /// onto a [`tsocc_bench::cli::Cli`] spec.
-    pub fn flags(cli: tsocc_bench::cli::Cli) -> tsocc_bench::cli::Cli {
-        cli.opt(
-            "--cache-dir",
-            "PATH",
-            "serve unchanged clean runs from this content-addressed result store",
-        )
-        .switch("--no-cache", "compute everything, touch no cache")
-    }
-
-    /// Resolves the flag pair. No `--cache-dir` (or `--no-cache`)
-    /// means every call below is a no-op.
-    pub fn from_args(args: &tsocc_bench::cli::ParsedArgs) -> BinCache {
-        let cache = match (args.present("--no-cache"), args.str("--cache-dir")) {
-            (false, Some(dir)) => match ResultCache::open(dir) {
-                Ok(cache) => Some(cache),
-                Err(e) => {
-                    eprintln!("cannot open cache at {dir}: {e}");
-                    std::process::exit(2);
-                }
-            },
-            _ => None,
-        };
-        BinCache { cache }
-    }
-
-    /// Whether a store is attached.
-    pub fn enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// Looks the run up by its canonical description.
-    pub fn lookup(&self, kind: &str, canonical: &str) -> Option<CacheRecord> {
-        let cache = self.cache.as_ref()?;
-        cache.lookup(kind, canonical, &cache.key_for(kind, canonical))
-    }
-
-    /// Stores a successful run's summary metrics.
-    pub fn store_clean(
-        &self,
-        kind: &str,
-        label: &str,
-        canonical: &str,
-        metrics: Vec<(String, u64)>,
-        wall_seconds: f64,
-    ) {
-        let Some(cache) = &self.cache else { return };
-        let record = CacheRecord {
-            kind: kind.to_string(),
-            label: label.to_string(),
-            canonical: canonical.to_string(),
-            fingerprint: cache.fingerprint().to_string(),
-            wall_raw: format!("{wall_seconds:.6}"),
-            metrics,
-            payload: String::new(),
-        };
-        if let Err(e) = cache.store(&record) {
-            eprintln!("failed to store {label} in the cache: {e}");
-        }
-    }
-
-    /// This run's cache stats as a serialized JSON value (`null` when
-    /// no store is attached) — for embedding in campaign reports.
-    pub fn stats_json(&self) -> String {
-        self.cache
-            .as_ref()
-            .map_or("null".to_string(), |c| c.stats().to_json_obj().build())
     }
 }
 

@@ -1,11 +1,10 @@
-//! The work-stealing job executor.
+//! The cache-aware job executor.
 //!
-//! Jobs are seeded into a shared **injector** deque; each worker also
-//! owns a local deque. A worker prefers its local queue, refills from
-//! the injector in small batches when the local queue runs dry, and —
-//! only when the injector is empty too — **steals from the back** of
-//! another worker's queue, so a worker stuck on one long job (a
-//! 128-core sweep point) cannot strand the short jobs queued behind it.
+//! Each job is looked up in the result store first, computed on a miss,
+//! and stored when clean. Jobs run on the workspace's one worker pool,
+//! [`tsocc_bench::sweep::fan_out`]: workers pull job indices off a
+//! shared counter, so one long 128-core point cannot strand the short
+//! jobs queued behind it.
 //!
 //! Determinism: results land in slots keyed by *job index*, and every
 //! job's seed derives from the job's identity ([`crate::jobs::JobSpec`])
@@ -13,12 +12,10 @@
 //! rows are identical for any worker count, modulo wall-clock timings
 //! (asserted across `--jobs {1, 4}` in `tests/orchestrator.rs`).
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use tsocc_bench::json;
+use tsocc_bench::sweep::{effective_threads, fan_out};
 
 use crate::cache::{CacheRecord, ResultCache};
 use crate::fingerprint::code_fingerprint;
@@ -59,8 +56,6 @@ pub struct ExecReport {
     pub rows: Vec<JobRow>,
     /// Worker threads actually used.
     pub workers: usize,
-    /// Successful steals from another worker's local queue.
-    pub steals: u64,
     /// End-to-end wall-clock of the run.
     pub wall_seconds: f64,
 }
@@ -103,7 +98,6 @@ impl ExecReport {
             .str("subcommand", subcommand)
             .str("fingerprint", &code_fingerprint())
             .u64("workers", self.workers as u64)
-            .u64("steals", self.steals)
             .u64("jobs_total", self.rows.len() as u64)
             .u64("jobs_cached", self.cached_rows() as u64)
             .u64("jobs_failed", self.failed_rows() as u64)
@@ -159,7 +153,7 @@ fn run_job(index: usize, job: &JobSpec, cache: Option<&ResultCache>) -> JobRow {
                 payload: out.payload.clone(),
             };
             if let Err(e) = c.store(&record) {
-                eprintln!("orchestrate: failed to store {label}: {e}");
+                eprintln!("failed to store {label} in the cache: {e}");
             }
         }
     }
@@ -181,79 +175,23 @@ fn run_job(index: usize, job: &JobSpec, cache: Option<&ResultCache>) -> JobRow {
 /// looking each job up in `cache` first (pass `None` for `--no-cache`).
 /// Returns rows in submission order regardless of schedule.
 pub fn execute(jobs: &[JobSpec], workers: usize, cache: Option<&ResultCache>) -> ExecReport {
-    let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = if workers == 0 { auto } else { workers }.clamp(1, jobs.len().max(1));
     let start = Instant::now();
-
-    let injector: Mutex<VecDeque<usize>> = Mutex::new((0..jobs.len()).collect());
-    let locals: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    let steals = AtomicU64::new(0);
-    let slots: Vec<Mutex<Option<JobRow>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    // Refill batch: enough to amortize the injector lock, small enough
-    // to leave most of the queue up for grabs by other workers.
-    let batch = (jobs.len() / (2 * workers)).clamp(1, 8);
-
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let injector = &injector;
-            let locals = &locals;
-            let steals = &steals;
-            let slots = &slots;
-            s.spawn(move || loop {
-                // Local queue first (front: oldest of our own refill).
-                let mut next = locals[w].lock().unwrap().pop_front();
-                // Refill from the shared injector.
-                if next.is_none() {
-                    let mut inj = injector.lock().unwrap();
-                    next = inj.pop_front();
-                    if next.is_some() && batch > 1 {
-                        let mut local = locals[w].lock().unwrap();
-                        for _ in 1..batch {
-                            match inj.pop_front() {
-                                Some(i) => local.push_back(i),
-                                None => break,
-                            }
-                        }
-                    }
-                }
-                // Steal from the back of a sibling's queue.
-                if next.is_none() {
-                    for v in (0..workers).filter(|&v| v != w) {
-                        if let Some(i) = locals[v].lock().unwrap().pop_back() {
-                            steals.fetch_add(1, Ordering::Relaxed);
-                            next = Some(i);
-                            break;
-                        }
-                    }
-                }
-                let Some(i) = next else { break };
-                let row = run_job(i, &jobs[i], cache);
-                eprintln!(
-                    "[{:>7.1?}] {:>3}/{} {:<40} {}{:.3}s",
-                    start.elapsed(),
-                    i + 1,
-                    jobs.len(),
-                    row.label,
-                    if row.cached { "cached " } else { "" },
-                    row.wall_seconds,
-                );
-                *slots[i].lock().unwrap() = Some(row);
-            });
-        }
+    let rows = fan_out(jobs.len(), workers, |i| {
+        let row = run_job(i, &jobs[i], cache);
+        eprintln!(
+            "[{:>7.1?}] {:>3}/{} {:<40} {}{:.3}s",
+            start.elapsed(),
+            i + 1,
+            jobs.len(),
+            row.label,
+            if row.cached { "cached " } else { "" },
+            row.wall_seconds,
+        );
+        row
     });
-
     ExecReport {
-        rows: slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("no worker panicked holding a result slot")
-                    .expect("every slot filled once the scope joins")
-            })
-            .collect(),
-        workers,
-        steals: steals.load(Ordering::Relaxed),
+        rows,
+        workers: effective_threads(workers, jobs.len()),
         wall_seconds: start.elapsed().as_secs_f64(),
     }
 }
@@ -327,6 +265,6 @@ mod tests {
     fn empty_job_list_completes() {
         let report = execute(&[], 4, None);
         assert!(report.rows.is_empty());
-        assert_eq!(report.steals, 0);
+        assert_eq!(report.workers, 1);
     }
 }

@@ -1,12 +1,12 @@
 //! Campaign orchestrator: a content-addressed result cache and a
-//! work-stealing job executor over the simulator's sweep, conformance,
-//! and model-checking campaigns.
+//! cache-aware job executor over the simulator's sweep, conformance,
+//! and model-checking campaigns — plus the `tsocc` binary, the
+//! repository's one command-line entry point.
 //!
 //! Most campaign work between two commits is *unchanged* work: the same
 //! sweep point under the same machine description produces the same
-//! simulated metrics, yet the one-shot binaries recompute all of it.
-//! This crate treats a simulation result as a persistent, cheaply
-//! re-servable artifact instead:
+//! simulated metrics. This crate treats a simulation result as a
+//! persistent, cheaply re-servable artifact instead:
 //!
 //! - [`jobs::JobSpec`] pins a unit of work's **canonical identity** —
 //!   the resolved machine description, workload, scale, and derived
@@ -16,20 +16,19 @@
 //!   [`fingerprint::code_fingerprint`] of every simulated-metric-
 //!   affecting crate. Changed code misses; unchanged jobs are served
 //!   (after byte-level validation) without re-simulating.
-//! - [`executor::execute`] fans a job list out over scoped worker
-//!   threads with work stealing: an idle worker refills from a shared
-//!   injector deque and, when that runs dry, steals from the back of a
-//!   sibling's queue, so one long 128-core point cannot strand the
-//!   queue behind it. Results are keyed by job index and all seeds by
-//!   job identity, so any worker count produces identical rows.
+//! - [`executor::execute`] looks every job up, computes the misses on
+//!   the shared-counter worker pool ([`tsocc_bench::sweep::fan_out`]),
+//!   and stores the clean results. Results are keyed by job index and
+//!   all seeds by job identity, so any worker count produces identical
+//!   rows.
 //! - [`manifest`] expands a declarative `tsocc-campaign-manifest/v1`
 //!   document (sweep points, conformance program chunks, model-check
 //!   families) into jobs.
 //!
-//! The `orchestrate` binary fronts all of it with `sweep`, `campaign`
-//! and `status` subcommands; `conform_campaign`, `fault_campaign` and
-//! `model_check` live in this crate too, so their `--cache-dir` flag
-//! can route through the same store.
+//! The `tsocc` binary (`src/bin/tsocc`, one module per subcommand)
+//! fronts the cache with `tsocc sweep`, `tsocc campaign` and
+//! `tsocc status`, and hosts every other entry point too: `figures`,
+//! `ablation`, `litmus`, `conform`, `check` and `faults`.
 
 pub mod cache;
 pub mod executor;
@@ -38,7 +37,7 @@ pub mod hash;
 pub mod jobs;
 pub mod manifest;
 
-pub use cache::{cache_key, BinCache, CacheRecord, CacheStats, ResultCache};
+pub use cache::{cache_key, CacheRecord, CacheStats, ResultCache};
 pub use executor::{execute, ExecReport, JobRow};
 pub use fingerprint::code_fingerprint;
 pub use jobs::{canonical_config, JobOutcome, JobSpec};

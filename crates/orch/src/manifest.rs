@@ -58,7 +58,7 @@ pub struct Manifest {
     pub jobs: Vec<JobSpec>,
 }
 
-/// The built-in manifest `orchestrate campaign` runs when no
+/// The built-in manifest `tsocc campaign` runs when no
 /// `--manifest` is given: a small three-leg smoke matrix exercising
 /// every leg kind.
 pub const DEFAULT_MANIFEST: &str = r#"{
@@ -144,12 +144,9 @@ pub fn parse_manifest(src: &str) -> Result<Manifest, String> {
                     .into_iter()
                     .find(|b| b.name() == bench_name)
                     .ok_or_else(|| format!("unknown benchmark {bench_name:?}"))?;
-                let scale = match leg.get("scale").and_then(Value::as_str).unwrap_or("small") {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale {other:?}")),
-                };
+                let scale_name = leg.get("scale").and_then(Value::as_str).unwrap_or("small");
+                let scale = Scale::from_name(scale_name)
+                    .ok_or_else(|| format!("unknown scale {scale_name:?}"))?;
                 let cores: Vec<usize> = match leg.get("cores") {
                     None => vec![2, 4],
                     Some(v) => v
@@ -291,6 +288,11 @@ mod tests {
                 r#"{"schema": "tsocc-campaign-manifest/v1",
                     "legs": [{"kind": "check", "protocols": ["NOPE"]}]}"#,
                 "NOPE",
+            ),
+            (
+                r#"{"schema": "tsocc-campaign-manifest/v1",
+                    "legs": [{"kind": "sweep", "scale": "tnyi"}]}"#,
+                "tnyi",
             ),
         ] {
             let err = parse_manifest(src).unwrap_err();

@@ -2,7 +2,7 @@
 //! store: a cold run computes and populates the cache, a warm run
 //! serves every job from it with byte-identical simulated results, and
 //! the worker count never changes what is produced — the acceptance
-//! contract behind `orchestrate sweep`'s cold/warm CI legs.
+//! contract behind `tsocc sweep`'s cold/warm CI legs.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -33,6 +33,23 @@ impl Scale {
             Scale::Full => 20,
         }
     }
+
+    /// The lowercase name command lines and artifacts spell this scale
+    /// with (`tiny`, `small`, `full`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Full => "full",
+        }
+    }
+
+    /// The scale called `name` (exactly as [`Scale::name`] spells it).
+    pub fn from_name(name: &str) -> Option<Scale> {
+        [Scale::Tiny, Scale::Small, Scale::Full]
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
 }
 
 /// A ready-to-run multi-threaded workload.
@@ -793,6 +810,16 @@ mod tests {
     fn scale_factors_are_monotonic() {
         assert!(Scale::Tiny.factor() < Scale::Small.factor());
         assert!(Scale::Small.factor() < Scale::Full.factor());
+    }
+
+    #[test]
+    fn scale_names_round_trip_and_reject_the_rest() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Full] {
+            assert_eq!(Scale::from_name(scale.name()), Some(scale));
+        }
+        for bad in ["tnyi", "Small", "", "tiny "] {
+            assert_eq!(Scale::from_name(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

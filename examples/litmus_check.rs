@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example litmus_check`
 //! (The full sweep over all seven configurations is
-//! `cargo run --release -p tsocc-bench --bin litmus`.)
+//! `cargo run --release -p tsocc-orch --bin tsocc -- litmus`.)
 
 use tsocc_proto::TsoCcConfig;
 use tsocc_protocols::Protocol;

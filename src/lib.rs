@@ -15,8 +15,9 @@
 //! engine, lives in [`tsocc_bench`]; the conformance campaign engine
 //! (N-thread litmus generation, model-oracle checking, counterexample
 //! shrinking) lives in [`tsocc_conform`]. Campaign orchestration — the
-//! content-addressed result cache and the work-stealing job executor
-//! behind the `orchestrate` bin — lives in [`tsocc_orch`].
+//! content-addressed result cache and the job executor — lives in
+//! [`tsocc_orch`], which also builds `tsocc`, the one command-line entry
+//! point (`cargo run --release -p tsocc-orch --bin tsocc -- --help`).
 
 pub use tsocc;
 pub use tsocc_bench;
