@@ -2,7 +2,7 @@
 //!
 //! Each `print_*` function emits the same rows/series the paper plots,
 //! as aligned text tables (normalized against MESI where the paper
-//! normalizes). `EXPERIMENTS.md` is produced from this output.
+//! normalizes).
 
 use tsocc::RunStats;
 use tsocc_coherence::SelfInvCause;

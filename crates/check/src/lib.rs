@@ -779,13 +779,6 @@ fn sleeps_through(s: Choice, info: &StepInfo) -> bool {
     }
 }
 
-/// This crate's compiled version. The orchestrator (`tsocc-orch`) folds
-/// the versions of every simulated-metric-affecting crate into the
-/// code-version fingerprint that content-addresses cached results, so
-/// bumping a crate version invalidates exactly the results its code
-/// could have changed.
-pub const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -52,10 +52,3 @@ pub use stats::{L1Stats, L2Stats, SelfInvCause};
 pub use tsocc_faults::{FaultPlan, FaultState, NocFault, ProtocolFault};
 pub use tsocc_noc::MeshTopology;
 pub use wb::WritebackBuffer;
-
-/// This crate's compiled version. The orchestrator (`tsocc-orch`) folds
-/// the versions of every simulated-metric-affecting crate into the
-/// code-version fingerprint that content-addresses cached results, so
-/// bumping a crate version invalidates exactly the results its code
-/// could have changed.
-pub const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");

@@ -62,10 +62,3 @@ pub use system::{RunError, System};
 // The fault-injection axis, re-exported so experiment drivers can
 // build plans without naming the substrate crates.
 pub use tsocc_coherence::{FaultPlan, NocFault, ProtocolFault};
-
-/// This crate's compiled version. The orchestrator (`tsocc-orch`) folds
-/// the versions of every simulated-metric-affecting crate into the
-/// code-version fingerprint that content-addresses cached results, so
-/// bumping a crate version invalidates exactly the results its code
-/// could have changed.
-pub const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");

@@ -53,10 +53,3 @@ pub use asm::{Asm, Label};
 pub use instr::{AluOp, Cond, Instr, Reg, RmwOp};
 pub use program::Program;
 pub use thread::{Effect, MemOp, ThreadState};
-
-/// This crate's compiled version. The orchestrator (`tsocc-orch`) folds
-/// the versions of every simulated-metric-affecting crate into the
-/// code-version fingerprint that content-addresses cached results, so
-/// bumping a crate version invalidates exactly the results its code
-/// could have changed.
-pub const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");

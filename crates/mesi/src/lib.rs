@@ -29,12 +29,5 @@ pub use factory::MesiFactory;
 pub use l1::{MesiL1, MesiL1Config, MesiL1Policy};
 pub use l2::{check_sharer_capacity, FullVector, MesiL2, MesiL2Config, MesiL2Policy, SharerSet};
 
-/// This crate's compiled version. The orchestrator (`tsocc-orch`) folds
-/// the versions of every simulated-metric-affecting crate into the
-/// code-version fingerprint that content-addresses cached results, so
-/// bumping a crate version invalidates exactly the results its code
-/// could have changed.
-pub const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");
-
 #[cfg(test)]
 mod tests;

@@ -8,14 +8,12 @@
 //! its drift check), `figures` and `ablation` (the paper's tables,
 //! figures and §4.2 design-space sweeps), `litmus` (§4.3), `conform`,
 //! `check` and `faults` (the conformance, model-checking and
-//! fault-injection campaigns), and `campaign` / `status` (manifest runs
-//! through the result cache, and what the cache holds). Every
-//! subcommand parses its flags through [`tsocc_bench::cli`]:
-//! `tsocc <subcommand> --help` lists them, and an unknown flag or a
-//! malformed value exits 2 with the usage page.
+//! fault-injection campaigns), and `status` (what the result cache
+//! behind `sweep` holds). Every subcommand parses its flags through
+//! [`tsocc_bench::cli`]: `tsocc <subcommand> --help` lists them, and an
+//! unknown flag or a malformed value exits 2 with the usage page.
 
 mod ablation;
-mod campaign;
 mod check;
 mod conform;
 mod faults;
@@ -24,15 +22,12 @@ mod litmus;
 mod status;
 mod sweep;
 
-use tsocc_bench::cli::{Cli, ParsedArgs};
-use tsocc_orch::ResultCache;
-
 /// A subcommand's entry point, handed the arguments after the
 /// subcommand word.
 type Run = fn(Vec<String>);
 
 /// Every subcommand: its name, its one-line description, its entry.
-const SUBCOMMANDS: [(&str, &str, Run); 9] = [
+const SUBCOMMANDS: [(&str, &str, Run); 8] = [
     ("sweep", sweep::ABOUT, sweep::main),
     ("figures", figures::ABOUT, figures::main),
     ("ablation", ablation::ABOUT, ablation::main),
@@ -40,7 +35,6 @@ const SUBCOMMANDS: [(&str, &str, Run); 9] = [
     ("conform", conform::ABOUT, conform::main),
     ("check", check::ABOUT, check::main),
     ("faults", faults::ABOUT, faults::main),
-    ("campaign", campaign::ABOUT, campaign::main),
     ("status", status::ABOUT, status::main),
 ];
 
@@ -74,31 +68,5 @@ fn main() {
                 std::process::exit(2);
             }
         },
-    }
-}
-
-/// The flags of the subcommands that run jobs through the result cache
-/// (`sweep` and `campaign`).
-fn cache_flags(cli: Cli) -> Cli {
-    cli.opt(
-        "--cache-dir",
-        "PATH",
-        "content-addressed result store directory (default .tsocc-cache)",
-    )
-    .switch("--no-cache", "compute everything, touch no cache")
-    .opt("--jobs", "N", "worker threads (0 = one per CPU)")
-    .opt("--report", "PATH", "tsocc-orch-report/v1 output path")
-}
-
-/// Opens the store named by `--cache-dir` unless `--no-cache`; `None`
-/// means compute-only.
-fn open_cache(args: &ParsedArgs) -> Option<ResultCache> {
-    if args.present("--no-cache") {
-        return None;
-    }
-    let dir = args.str("--cache-dir").unwrap_or(".tsocc-cache");
-    match ResultCache::open(dir) {
-        Ok(cache) => Some(cache),
-        Err(e) => args.fail(format!("cannot open cache at {dir}: {e}")),
     }
 }

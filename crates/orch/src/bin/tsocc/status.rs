@@ -1,6 +1,7 @@
 //! `tsocc status`: scans a result-cache directory and prints a
 //! `tsocc-orch-status/v1` summary of its records by freshness against
-//! the current code fingerprint.
+//! the current code fingerprint. A missing directory exits 2 with the
+//! usage page; nothing is created.
 //!
 //! ```text
 //! tsocc status [--cache-dir PATH]
@@ -22,6 +23,9 @@ pub fn main(args: Vec<String>) {
         .parse(args);
 
     let dir = args.str("--cache-dir").unwrap_or(".tsocc-cache");
+    if !std::path::Path::new(dir).is_dir() {
+        args.fail(format!("no cache directory at {dir}"));
+    }
     let cache = ResultCache::open(dir)
         .unwrap_or_else(|e| args.fail(format!("cannot open cache at {dir}: {e}")));
     let scan = cache.scan();

@@ -12,7 +12,7 @@
 //!   ([`tsocc_bench::sweep::baseline_matrix`], default 2–128 cores at
 //!   `small` scale) through the cache-aware executor and writes a
 //!   `tsocc-sweep-baseline/v1` artifact (default `BENCH_sweep.json`)
-//!   plus a `tsocc-orch-report/v1` run report. Rows are the exact
+//!   plus a `tsocc-orch-report/v2` run report. Rows are the exact
 //!   serialized rows of the compute run — a cached record stores the
 //!   row verbatim — so a warm re-run reproduces the cold artifact
 //!   **byte-identically** while skipping every simulation.
@@ -35,6 +35,7 @@ use tsocc_bench::json::{self, Value};
 use tsocc_bench::sweep::{baseline_matrix, run_points_with, SweepOpts};
 use tsocc_orch::executor::execute;
 use tsocc_orch::jobs::JobSpec;
+use tsocc_orch::ResultCache;
 use tsocc_workloads::{Benchmark, Scale};
 
 pub const ABOUT: &str =
@@ -55,7 +56,15 @@ const WRITE_ONLY: [&str; 8] = [
 ];
 
 pub fn main(args: Vec<String>) {
-    let args = crate::cache_flags(Cli::new("tsocc sweep", ABOUT))
+    let args = Cli::new("tsocc sweep", ABOUT)
+        .opt(
+            "--cache-dir",
+            "PATH",
+            "content-addressed result store directory (default .tsocc-cache)",
+        )
+        .switch("--no-cache", "compute everything, touch no cache")
+        .opt("--jobs", "N", "worker threads (0 = one per CPU)")
+        .opt("--report", "PATH", "tsocc-orch-report/v2 output path")
         .opt_default(
             "--check",
             "PATH",
@@ -98,12 +107,12 @@ fn write(args: &ParsedArgs) {
 
     let jobs: Vec<JobSpec> = baseline_matrix(scale, &core_counts)
         .into_iter()
-        .map(|point| JobSpec::Sweep {
+        .map(|point| JobSpec {
             point,
             base_seed: seed,
         })
         .collect();
-    let cache = crate::open_cache(args);
+    let cache = open_cache(args);
     let report = execute(&jobs, args.usize("--jobs").unwrap_or(0), cache.as_ref());
 
     // Only host-independent header fields (plus the CPU count the row
@@ -126,7 +135,7 @@ fn write(args: &ParsedArgs) {
         )
         .build();
     std::fs::write(out_path, doc + "\n").expect("write sweep artifact");
-    std::fs::write(report_path, report.to_json("sweep", cache.as_ref()) + "\n")
+    std::fs::write(report_path, report.to_json(cache.as_ref()) + "\n")
         .expect("write orchestrator report");
 
     let cached = report.cached_rows();
@@ -147,6 +156,19 @@ fn write(args: &ParsedArgs) {
             "tsocc sweep: expected an all-hit run, but only {cached}/{total} jobs were served from the cache"
         );
         std::process::exit(3);
+    }
+}
+
+/// Opens the store named by `--cache-dir` unless `--no-cache`; `None`
+/// means compute-only.
+fn open_cache(args: &ParsedArgs) -> Option<ResultCache> {
+    if args.present("--no-cache") {
+        return None;
+    }
+    let dir = args.str("--cache-dir").unwrap_or(".tsocc-cache");
+    match ResultCache::open(dir) {
+        Ok(cache) => Some(cache),
+        Err(e) => args.fail(format!("cannot open cache at {dir}: {e}")),
     }
 }
 

@@ -26,19 +26,17 @@ use tsocc_bench::json;
 use crate::fingerprint::code_fingerprint;
 use crate::hash::{hex128_parts, Fnv};
 
-/// Computes the cache key a record of `kind` with this canonical
-/// description lives under. The fingerprint participates in the
-/// address itself, so a code change *misses* (old records stay behind)
-/// rather than requiring an in-place invalidation pass.
-pub fn cache_key(kind: &str, canonical: &str, fingerprint: &str) -> String {
-    hex128_parts(&["tsocc-orch-key/v1", kind, canonical, fingerprint])
+/// Computes the cache key a record with this canonical description
+/// lives under. The fingerprint participates in the address itself, so
+/// a code change *misses* (old records stay behind) rather than
+/// requiring an in-place invalidation pass.
+pub fn cache_key(canonical: &str, fingerprint: &str) -> String {
+    hex128_parts(&["tsocc-orch-key/v2", canonical, fingerprint])
 }
 
 /// One stored result, exactly as serialized to disk.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CacheRecord {
-    /// Job kind (`sweep` / `conform` / `check`).
-    pub kind: String,
     /// Human-readable job label (display only; not part of the key).
     pub label: String,
     /// The canonical job description the key was derived from.
@@ -48,16 +46,16 @@ pub struct CacheRecord {
     /// The original compute time, as the exact serialized token (kept
     /// as a string so a served record round-trips byte-identically).
     pub wall_raw: String,
-    /// Simulated metrics, in a fixed per-kind order.
+    /// Simulated metrics, in a fixed order.
     pub metrics: Vec<(String, u64)>,
-    /// Kind-specific serialized payload (the sweep row JSON), or empty.
+    /// The serialized sweep row, stored verbatim.
     pub payload: String,
 }
 
 impl CacheRecord {
     /// The key this record is addressed by.
     pub fn key(&self) -> String {
-        cache_key(&self.kind, &self.canonical, &self.fingerprint)
+        cache_key(&self.canonical, &self.fingerprint)
     }
 
     /// Integrity checksum over every content field. Stored in the
@@ -65,8 +63,7 @@ impl CacheRecord {
     /// — including a flipped digit inside a metric — is detected.
     fn checksum(&self) -> String {
         let mut h = Fnv::new();
-        h.eat_str("tsocc-orch-record/v1");
-        h.eat_str(&self.kind);
+        h.eat_str("tsocc-orch-record/v2");
         h.eat_str(&self.label);
         h.eat_str(&self.canonical);
         h.eat_str(&self.fingerprint);
@@ -80,7 +77,7 @@ impl CacheRecord {
     }
 
     /// Serializes the record (the on-disk format,
-    /// `tsocc-orch-cache/v1`).
+    /// `tsocc-orch-cache/v2`).
     pub fn to_json(&self) -> String {
         let metrics = self
             .metrics
@@ -89,9 +86,8 @@ impl CacheRecord {
                 obj.u64(name, *value)
             });
         json::Object::new()
-            .str("schema", "tsocc-orch-cache/v1")
+            .str("schema", "tsocc-orch-cache/v2")
             .str("key", &self.key())
-            .str("kind", &self.kind)
             .str("label", &self.label)
             .str("canonical", &self.canonical)
             .str("fingerprint", &self.fingerprint)
@@ -121,7 +117,7 @@ impl CacheRecord {
                 .map(str::to_string)
                 .ok_or_else(|| format!("record field {name:?} is not a string"))
         };
-        if str_field("schema")? != "tsocc-orch-cache/v1" {
+        if str_field("schema")? != "tsocc-orch-cache/v2" {
             return Err("record schema mismatch".to_string());
         }
         let wall_raw = match field("wall_seconds")? {
@@ -141,7 +137,6 @@ impl CacheRecord {
             _ => return Err("record field \"metrics\" is not an object".to_string()),
         };
         let record = CacheRecord {
-            kind: str_field("kind")?,
             label: str_field("label")?,
             canonical: str_field("canonical")?,
             fingerprint: str_field("fingerprint")?,
@@ -255,22 +250,22 @@ impl ResultCache {
         &self.fingerprint
     }
 
-    /// The key a job of `kind` with this canonical description is
-    /// addressed by under the current fingerprint.
-    pub fn key_for(&self, kind: &str, canonical: &str) -> String {
-        cache_key(kind, canonical, &self.fingerprint)
+    /// The key a job with this canonical description is addressed by
+    /// under the current fingerprint.
+    pub fn key_for(&self, canonical: &str) -> String {
+        cache_key(canonical, &self.fingerprint)
     }
 
     fn path_for(&self, key: &str) -> PathBuf {
         self.dir.join(&key[..2]).join(format!("{key}.json"))
     }
 
-    /// Looks `key` up, expecting a record of `kind` whose canonical
-    /// description matches `canonical` byte-for-byte. Counts a hit or a
-    /// miss; an existing-but-invalid record is evicted (deleted and
-    /// counted) and reported as a miss, so a poisoned record is
-    /// *recomputed*, never served.
-    pub fn lookup(&self, kind: &str, canonical: &str, key: &str) -> Option<CacheRecord> {
+    /// Looks `key` up, expecting a record whose canonical description
+    /// matches `canonical` byte-for-byte. Counts a hit or a miss; an
+    /// existing-but-invalid record is evicted (deleted and counted) and
+    /// reported as a miss, so a poisoned record is *recomputed*, never
+    /// served.
+    pub fn lookup(&self, canonical: &str, key: &str) -> Option<CacheRecord> {
         let path = self.path_for(key);
         let Ok(src) = std::fs::read_to_string(&path) else {
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
@@ -278,7 +273,7 @@ impl ResultCache {
         };
         let valid = CacheRecord::parse(&src)
             .ok()
-            .filter(|r| r.key() == key && r.kind == kind && r.canonical == canonical);
+            .filter(|r| r.key() == key && r.canonical == canonical);
         match valid {
             Some(record) => {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -358,9 +353,8 @@ mod tests {
 
     fn record() -> CacheRecord {
         CacheRecord {
-            kind: "sweep".to_string(),
             label: "fft/MESI/4c".to_string(),
-            canonical: "kind=sweep;demo=1".to_string(),
+            canonical: "bench=fft;demo=1".to_string(),
             fingerprint: code_fingerprint(),
             wall_raw: "0.125000".to_string(),
             metrics: vec![
@@ -393,9 +387,9 @@ mod tests {
         let cache = ResultCache::open(&dir).unwrap();
         let r = record();
         let key = r.key();
-        assert!(cache.lookup(&r.kind, &r.canonical, &key).is_none());
+        assert!(cache.lookup(&r.canonical, &key).is_none());
         cache.store(&r).unwrap();
-        let served = cache.lookup(&r.kind, &r.canonical, &key).unwrap();
+        let served = cache.lookup(&r.canonical, &key).unwrap();
         assert_eq!(served, r);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.stores), (1, 1, 1));
@@ -413,9 +407,7 @@ mod tests {
         let cache = ResultCache::open(&dir).unwrap();
         let r = record();
         cache.store(&r).unwrap();
-        assert!(cache
-            .lookup(&r.kind, "kind=sweep;demo=2", &r.key())
-            .is_none());
+        assert!(cache.lookup("bench=fft;demo=2", &r.key()).is_none());
         assert_eq!(cache.stats().evictions, 1, "colliding record is evicted");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,7 +1,7 @@
 //! The cache-aware job executor.
 //!
-//! Each job is looked up in the result store first, computed on a miss,
-//! and stored when clean. Jobs run on the workspace's one worker pool,
+//! Each job is looked up in the result store first, and computed and
+//! stored on a miss. Jobs run on the workspace's one worker pool,
 //! [`tsocc_bench::sweep::fan_out`]: workers pull job indices off a
 //! shared counter, so one long 128-core point cannot strand the short
 //! jobs queued behind it.
@@ -26,26 +26,20 @@ use crate::jobs::JobSpec;
 pub struct JobRow {
     /// Position in the submitted job list.
     pub index: usize,
-    /// Job kind tag.
-    pub kind: &'static str,
     /// Display label.
     pub label: String,
     /// The content-address the job was looked up / stored under.
     pub key: String,
     /// Whether the result was served from the cache.
     pub cached: bool,
-    /// Whether the result is clean (see
-    /// [`crate::jobs::JobOutcome::clean`]; cached results are always
-    /// clean — violating runs are never stored).
-    pub clean: bool,
     /// Wall-clock this run spent on the job (serve time when cached).
     pub wall_seconds: f64,
     /// The *original* compute time as its exact serialized token —
     /// survives a cache round-trip unchanged.
     pub compute_wall_raw: String,
-    /// Simulated metrics in the kind's fixed order.
+    /// Simulated metrics in a fixed order.
     pub metrics: Vec<(String, u64)>,
-    /// Kind-specific payload (the sweep row JSON), or empty.
+    /// The serialized sweep row.
     pub payload: String,
 }
 
@@ -66,14 +60,9 @@ impl ExecReport {
         self.rows.iter().filter(|r| r.cached).count()
     }
 
-    /// Rows that are not clean.
-    pub fn failed_rows(&self) -> usize {
-        self.rows.iter().filter(|r| !r.clean).count()
-    }
-
-    /// Serializes the run as a `tsocc-orch-report/v1` document.
+    /// Serializes the run as a `tsocc-orch-report/v2` document.
     /// `cache` is `None` under `--no-cache`.
-    pub fn to_json(&self, subcommand: &str, cache: Option<&ResultCache>) -> String {
+    pub fn to_json(&self, cache: Option<&ResultCache>) -> String {
         let jobs = self.rows.iter().map(|r| {
             let metrics = r
                 .metrics
@@ -83,24 +72,20 @@ impl ExecReport {
                 });
             json::Object::new()
                 .u64("index", r.index as u64)
-                .str("kind", r.kind)
                 .str("label", &r.label)
                 .str("key", &r.key)
                 .raw("cached", if r.cached { "true" } else { "false" })
-                .raw("clean", if r.clean { "true" } else { "false" })
                 .f64("wall_seconds", r.wall_seconds)
                 .raw("compute_wall_seconds", &r.compute_wall_raw)
                 .raw("metrics", metrics.build())
                 .build()
         });
         json::Object::new()
-            .str("schema", "tsocc-orch-report/v1")
-            .str("subcommand", subcommand)
+            .str("schema", "tsocc-orch-report/v2")
             .str("fingerprint", &code_fingerprint())
             .u64("workers", self.workers as u64)
             .u64("jobs_total", self.rows.len() as u64)
             .u64("jobs_cached", self.cached_rows() as u64)
-            .u64("jobs_failed", self.failed_rows() as u64)
             .raw(
                 "cache",
                 cache.map_or("null".to_string(), |c| c.stats().to_json_obj().build()),
@@ -111,25 +96,22 @@ impl ExecReport {
     }
 }
 
-/// Runs one job: cache lookup, compute on miss, store when clean.
+/// Runs one job: cache lookup, then compute and store on a miss.
 fn run_job(index: usize, job: &JobSpec, cache: Option<&ResultCache>) -> JobRow {
     let t = Instant::now();
-    let kind = job.kind();
     let label = job.label();
     let canonical = job.canonical();
     let key = match cache {
-        Some(c) => c.key_for(kind, &canonical),
-        None => crate::cache::cache_key(kind, &canonical, &code_fingerprint()),
+        Some(c) => c.key_for(&canonical),
+        None => crate::cache::cache_key(&canonical, &code_fingerprint()),
     };
     if let Some(c) = cache {
-        if let Some(record) = c.lookup(kind, &canonical, &key) {
+        if let Some(record) = c.lookup(&canonical, &key) {
             return JobRow {
                 index,
-                kind,
                 label,
                 key,
                 cached: true,
-                clean: true,
                 wall_seconds: t.elapsed().as_secs_f64(),
                 compute_wall_raw: record.wall_raw,
                 metrics: record.metrics,
@@ -142,28 +124,23 @@ fn run_job(index: usize, job: &JobSpec, cache: Option<&ResultCache>) -> JobRow {
     // emits, so a warm-served row reproduces the cold row byte-for-byte.
     let wall_raw = format!("{:.6}", out.wall.as_secs_f64());
     if let Some(c) = cache {
-        if out.clean {
-            let record = CacheRecord {
-                kind: kind.to_string(),
-                label: label.clone(),
-                canonical,
-                fingerprint: c.fingerprint().to_string(),
-                wall_raw: wall_raw.clone(),
-                metrics: out.metrics.clone(),
-                payload: out.payload.clone(),
-            };
-            if let Err(e) = c.store(&record) {
-                eprintln!("failed to store {label} in the cache: {e}");
-            }
+        let record = CacheRecord {
+            label: label.clone(),
+            canonical,
+            fingerprint: c.fingerprint().to_string(),
+            wall_raw: wall_raw.clone(),
+            metrics: out.metrics.clone(),
+            payload: out.payload.clone(),
+        };
+        if let Err(e) = c.store(&record) {
+            eprintln!("failed to store {label} in the cache: {e}");
         }
     }
     JobRow {
         index,
-        kind,
         label,
         key,
         cached: false,
-        clean: out.clean,
         wall_seconds: t.elapsed().as_secs_f64(),
         compute_wall_raw: wall_raw,
         metrics: out.metrics,
@@ -207,7 +184,7 @@ mod tests {
         [Protocol::Mesi, Protocol::TsoCc(Default::default())]
             .into_iter()
             .flat_map(|protocol| {
-                [2usize, 4].into_iter().map(move |n_cores| JobSpec::Sweep {
+                [2usize, 4].into_iter().map(move |n_cores| JobSpec {
                     point: SweepPoint {
                         bench: Benchmark::Fft,
                         protocol,

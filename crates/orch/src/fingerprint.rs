@@ -1,49 +1,21 @@
-//! The code-version fingerprint folded into every cache key.
+//! The code fingerprint folded into every cache key.
 //!
 //! A cached simulation result is only valid as long as the *code* that
 //! produced it would still produce the same simulated metrics. The
-//! fingerprint pins that: it hashes the compiled version of every crate
-//! whose code can change a simulated metric (cycle counts, message
-//! counts, final memory), plus an explicit [`SIM_EPOCH`] bump constant
-//! and the build profile. Any version bump — the workspace shares one
-//! version, so any release — or an epoch bump invalidates every cached
-//! record at lookup time; stale records simply miss and are recomputed.
-//!
-//! Crates that only *drive* simulations (this crate, `tsocc-bench`'s
-//! CLI/reporting layer) are deliberately not part of the fingerprint:
-//! changing how results are scheduled or serialized must not throw away
-//! results that are still correct.
+//! fingerprint pins that with a fact the build computes: `build.rs`
+//! hashes the sources of every `crates/*` package other than
+//! `crates/orch`, plus `Cargo.lock` and `rustc -V` (`src/srchash.rs`),
+//! and bakes the result in as `TSOCC_SOURCE_HASH`. Any edit to those
+//! sources moves the fingerprint, so every old record misses and is
+//! recomputed.
 
 use crate::hash::Fnv;
 
-/// Manual invalidation epoch for simulated-metric changes that ship
-/// without a version bump (e.g. a bug fix during development on an
-/// unreleased tree). Bump it to orphan every existing cache record.
-pub const SIM_EPOCH: u64 = 1;
+/// The source hash `build.rs` computed, as 16 lowercase hex digits.
+const SOURCE_HASH: &str = env!("TSOCC_SOURCE_HASH");
 
-/// The `(crate, version)` pairs the fingerprint covers: every crate on
-/// the path from a job description to a simulated metric.
-pub fn versioned_crates() -> Vec<(&'static str, &'static str)> {
-    vec![
-        ("tsocc", tsocc::CRATE_VERSION),
-        ("tsocc-sim", tsocc_sim::CRATE_VERSION),
-        ("tsocc-mem", tsocc_mem::CRATE_VERSION),
-        ("tsocc-noc", tsocc_noc::CRATE_VERSION),
-        ("tsocc-cpu", tsocc_cpu::CRATE_VERSION),
-        ("tsocc-isa", tsocc_isa::CRATE_VERSION),
-        ("tsocc-coherence", tsocc_coherence::CRATE_VERSION),
-        ("tsocc-mesi", tsocc_mesi::CRATE_VERSION),
-        ("tsocc-mesi-coarse", tsocc_mesi_coarse::CRATE_VERSION),
-        ("tsocc-proto", tsocc_proto::CRATE_VERSION),
-        ("tsocc-protocols", tsocc_protocols::CRATE_VERSION),
-        ("tsocc-workloads", tsocc_workloads::CRATE_VERSION),
-        ("tsocc-faults", tsocc_faults::CRATE_VERSION),
-        ("tsocc-conform", tsocc_conform::CRATE_VERSION),
-        ("tsocc-check", tsocc_check::CRATE_VERSION),
-    ]
-}
-
-/// The fingerprint as 16 lowercase hex digits.
+/// The fingerprint as 16 lowercase hex digits: the source hash folded
+/// with the build profile.
 ///
 /// Debug and release builds fingerprint differently: the simulator's
 /// metrics are profile-independent by contract, but debug trees are
@@ -51,23 +23,37 @@ pub fn versioned_crates() -> Vec<(&'static str, &'static str)> {
 /// cache (or vice versa).
 pub fn code_fingerprint() -> String {
     let mut h = Fnv::new();
-    h.eat_str("tsocc-orch-fingerprint/v1");
-    h.eat_u64(SIM_EPOCH);
+    h.eat_str("tsocc-orch-fingerprint/v2");
+    h.eat_str(SOURCE_HASH);
     h.eat_str(if cfg!(debug_assertions) {
         "debug"
     } else {
         "release"
     });
-    for (name, version) in versioned_crates() {
-        h.eat_str(name);
-        h.eat_str(version);
-    }
     format!("{:016x}", h.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::srchash::{hashed_packages, source_hash};
+    use std::path::Path;
+
+    /// The values of the `name = "..."` lines of a manifest or lock file.
+    fn names(root: &Path, rel: &str) -> Vec<String> {
+        let src = std::fs::read_to_string(root.join(rel)).unwrap();
+        src.lines()
+            .filter_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))
+            .map(str::to_string)
+            .collect()
+    }
+
+    fn root() -> &'static Path {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .unwrap()
+    }
 
     #[test]
     fn fingerprint_is_stable_within_a_build() {
@@ -76,14 +62,26 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_covers_every_simulation_crate() {
-        // The workspace pins one shared version; every entry must
-        // resolve to it (a drifted entry would mean a crate left the
-        // workspace version without the fingerprint noticing).
-        let versions = versioned_crates();
-        assert_eq!(versions.len(), 15);
-        for (name, version) in &versions {
-            assert_eq!(*version, tsocc::CRATE_VERSION, "{name} version drifted");
-        }
+    fn hashed_packages_are_the_lock_file_packages_but_orch_and_the_umbrella() {
+        let dirs = hashed_packages(root()).unwrap();
+        let mut hashed: Vec<String> = dirs
+            .iter()
+            .map(|dir| names(root(), &format!("{dir}/Cargo.toml")).remove(0))
+            .collect();
+        let mut locked = names(root(), "Cargo.lock");
+        locked.retain(|n| n != "tsocc-orch" && n != "tsocc-repro");
+        hashed.sort();
+        locked.sort();
+        assert_eq!(hashed, locked);
+    }
+
+    /// Fails when the build script did not rerun after an edit.
+    #[test]
+    fn baked_source_hash_is_the_hash_of_the_checked_out_tree() {
+        let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+        let version = std::process::Command::new(rustc).arg("-V").output();
+        let version = String::from_utf8_lossy(&version.unwrap().stdout).into_owned();
+        let fresh = source_hash(root(), version.trim()).unwrap();
+        assert_eq!(SOURCE_HASH, format!("{fresh:016x}"));
     }
 }

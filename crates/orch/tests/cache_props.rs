@@ -191,18 +191,17 @@ proptest! {
         }
     }
 
-    /// The key mixes in all three identity components.
+    /// The key mixes in both identity components.
     #[test]
-    fn cache_key_splits_on_kind_canonical_and_fingerprint(
+    fn cache_key_splits_on_canonical_and_fingerprint(
         a in any::<u64>(),
         b in any::<u64>(),
     ) {
         let canon = format!("seed={a};x={b}");
-        let key = cache_key("sweep", &canon, "fp0");
+        let key = cache_key(&canon, "fp0");
         prop_assert_eq!(key.len(), 32);
-        prop_assert_ne!(key.clone(), cache_key("conform", &canon, "fp0"));
-        prop_assert_ne!(key.clone(), cache_key("sweep", &format!("{canon};y=1"), "fp0"));
-        prop_assert_ne!(key, cache_key("sweep", &canon, "fp1"));
+        prop_assert_ne!(key.clone(), cache_key(&format!("{canon};y=1"), "fp0"));
+        prop_assert_ne!(key, cache_key(&canon, "fp1"));
     }
 
     /// Truncated or corrupted records are detected on lookup, evicted,
@@ -218,9 +217,8 @@ proptest! {
         let dir = tmp_dir();
         let cache = ResultCache::open(&dir).unwrap();
         let record = CacheRecord {
-            kind: "sweep".to_string(),
             label: "prop".to_string(),
-            canonical: format!("kind=sweep;seed={seed}"),
+            canonical: format!("bench=fft;seed={seed}"),
             fingerprint: code_fingerprint(),
             wall_raw: "0.001000".to_string(),
             metrics: vec![("cycles".to_string(), cycles), ("flits".to_string(), !cycles)],
@@ -255,7 +253,7 @@ proptest! {
         std::fs::write(&path, &poisoned).unwrap();
 
         prop_assert!(
-            cache.lookup("sweep", &record.canonical, &key).is_none(),
+            cache.lookup(&record.canonical, &key).is_none(),
             "poisoned record must not be served"
         );
         let stats = cache.stats();
@@ -266,7 +264,7 @@ proptest! {
         // Recompute-and-store repopulates the slot; the next lookup
         // serves the intact record again.
         cache.store(&record).unwrap();
-        let served = cache.lookup("sweep", &record.canonical, &key);
+        let served = cache.lookup(&record.canonical, &key);
         prop_assert_eq!(served, Some(record));
         let _ = std::fs::remove_dir_all(&dir);
     }

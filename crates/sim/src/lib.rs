@@ -37,10 +37,3 @@ pub use cycle::Cycle;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use sched::{SchedStats, WakeQueue};
 pub use stats::{Counter, Histogram};
-
-/// This crate's compiled version. The orchestrator (`tsocc-orch`) folds
-/// the versions of every simulated-metric-affecting crate into the
-/// code-version fingerprint that content-addresses cached results, so
-/// bumping a crate version invalidates exactly the results its code
-/// could have changed.
-pub const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");

@@ -44,12 +44,5 @@ pub use l1::{TsoCcL1, TsoCcL1Config, TsoCcL1Policy};
 pub use l2::{TsoCcL2, TsoCcL2Config, TsoCcL2Policy};
 pub use storage::StorageModel;
 
-/// This crate's compiled version. The orchestrator (`tsocc-orch`) folds
-/// the versions of every simulated-metric-affecting crate into the
-/// code-version fingerprint that content-addresses cached results, so
-/// bumping a crate version invalidates exactly the results its code
-/// could have changed.
-pub const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");
-
 #[cfg(test)]
 mod tests;

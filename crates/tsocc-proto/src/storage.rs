@@ -7,9 +7,9 @@
 //! small per-node tables: logarithmic growth.
 //!
 //! The exact bit accounting of the paper's figures is not fully
-//! specified; this model follows Table 1 literally. EXPERIMENTS.md
-//! records our percentages next to the paper's (38%/82% reductions at
-//! 32/128 cores for TSO-CC-4-12-3).
+//! specified; this model follows Table 1 literally. `tsocc figures
+//! fig2` prints its percentages next to the paper's (38%/82% reductions
+//! at 32/128 cores for TSO-CC-4-12-3).
 
 use crate::TsoCcConfig;
 

@@ -14,7 +14,7 @@
 //! litmus tests). The evaluation harness, including the parallel sweep
 //! engine, lives in [`tsocc_bench`]; the conformance campaign engine
 //! (N-thread litmus generation, model-oracle checking, counterexample
-//! shrinking) lives in [`tsocc_conform`]. Campaign orchestration — the
+//! shrinking) lives in [`tsocc_conform`]. Sweep orchestration — the
 //! content-addressed result cache and the job executor — lives in
 //! [`tsocc_orch`], which also builds `tsocc`, the one command-line entry
 //! point (`cargo run --release -p tsocc-orch --bin tsocc -- --help`).
