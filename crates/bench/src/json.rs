@@ -368,7 +368,7 @@ mod tests {
         let v = parse(&doc).unwrap();
         assert_eq!(
             v.get("schema").and_then(Value::as_str),
-            Some("tsocc-sweep-baseline/v1")
+            Some("tsocc-sweep-baseline/v2")
         );
         let points = v.get("points").and_then(Value::as_arr).unwrap();
         assert!(points.len() >= 8);

@@ -95,11 +95,6 @@ impl Epoch {
         Epoch(raw)
     }
 
-    /// Raw id.
-    pub const fn as_u8(self) -> u8 {
-        self.0
-    }
-
     /// The next epoch, wrapping at `2^bits` (paper: overflow is fine as
     /// long as consecutive epochs are distinct).
     pub fn next(self, bits: u32) -> Epoch {

@@ -29,8 +29,9 @@ impl std::error::Error for ConfigError {}
 /// flits, statistics, final memory). The event-driven scheduler merely
 /// skips cycles in which no component can act; the reference stepper
 /// walks cycles one by one and is kept as the determinism oracle
-/// (`tests/event_driven_parity.rs` diffs the two across the full sweep
-/// matrix).
+/// (`tests/event_driven_parity.rs` diffs the two on the 27 sweep points
+/// at 2, 4 and 8 cores; `tsocc sweep --check` on all 63 points of the
+/// committed artifact).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Stepper {
     /// Indexed event queue: every component's wake deadline lives in a
@@ -54,7 +55,7 @@ pub enum Stepper {
 /// reproduces the paper's simulated machine; [`SystemConfigBuilder::small`]
 /// shrinks the caches so unit and litmus tests exercise evictions and
 /// run fast.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct SystemConfig {
     /// Number of cores (32 in Table 2); one L2 tile per core.
     pub n_cores: usize,
@@ -94,27 +95,6 @@ pub struct SystemConfig {
     /// with the pre-fault-axis simulator; real experiments never set
     /// this. See `tsocc_faults`.
     pub faults: FaultPlan,
-}
-
-impl std::fmt::Debug for SystemConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SystemConfig")
-            .field("n_cores", &self.n_cores)
-            .field("n_mem", &self.n_mem)
-            .field("mesh", &self.mesh)
-            .field("l2_banks", &self.l2_banks)
-            .field("core", &self.core)
-            .field("l1_params", &self.l1_params)
-            .field("l2_params", &self.l2_params)
-            .field("l2_latency", &self.l2_latency)
-            .field("mem_latency", &self.mem_latency)
-            .field("noc", &self.noc)
-            .field("protocol", &self.protocol.protocol_name())
-            .field("seed", &self.seed)
-            .field("stepper", &self.stepper)
-            .field("faults", &self.faults)
-            .finish()
-    }
 }
 
 /// Typed constructor for [`SystemConfig`], the one blessed way to build
@@ -240,18 +220,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Overrides the L1 geometry.
-    pub fn l1_params(mut self, params: CacheParams) -> Self {
-        self.l1_params = params;
-        self
-    }
-
-    /// Overrides the L2 tile geometry.
-    pub fn l2_params(mut self, params: CacheParams) -> Self {
-        self.l2_params = params;
-        self
-    }
-
     /// Overrides the L2 array access latency (cycles).
     pub fn l2_latency(mut self, cycles: u64) -> Self {
         self.l2_latency = cycles;
@@ -261,12 +229,6 @@ impl SystemConfigBuilder {
     /// Overrides the memory access latency (cycles).
     pub fn mem_latency(mut self, cycles: u64) -> Self {
         self.mem_latency = cycles;
-        self
-    }
-
-    /// Overrides the network parameters.
-    pub fn noc(mut self, noc: NocConfig) -> Self {
-        self.noc = noc;
         self
     }
 

@@ -85,11 +85,6 @@ pub struct HangReport {
 }
 
 impl HangReport {
-    /// Whether the wait-for graph contains a cycle.
-    pub fn has_cycle(&self) -> bool {
-        !self.cycle.is_empty()
-    }
-
     /// The smallest blocked line address over every MSHR, parked
     /// writeback and busy transaction — a deterministic one-line
     /// summary for error messages.

@@ -30,12 +30,6 @@ impl LineData {
         }
     }
 
-    /// Creates a line from explicit words.
-    #[inline]
-    pub const fn from_words(words: [u64; WORDS_PER_LINE]) -> Self {
-        LineData { words }
-    }
-
     /// Reads the word at `index`.
     ///
     /// # Panics

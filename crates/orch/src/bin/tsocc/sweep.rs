@@ -11,22 +11,22 @@
 //! - **Write** runs the baseline matrix
 //!   ([`tsocc_bench::sweep::baseline_matrix`], default 2–128 cores at
 //!   `small` scale) through the cache-aware executor and writes a
-//!   `tsocc-sweep-baseline/v1` artifact (default `BENCH_sweep.json`)
-//!   plus a `tsocc-orch-report/v2` run report. Rows are the exact
-//!   serialized rows of the compute run — a cached record stores the
-//!   row verbatim — so a warm re-run reproduces the cold artifact
-//!   **byte-identically** while skipping every simulation.
+//!   `tsocc-sweep-baseline/v2` artifact (default `BENCH_sweep.json`)
+//!   plus a `tsocc-orch-report/v3` run report. A row
+//!   ([`tsocc_bench::sweep::PointResult::to_json`]) holds simulated
+//!   outcomes only, and a cached record stores it verbatim, so the
+//!   artifact is a pure function of the code and the matrix: cold,
+//!   warm, `--no-cache` and any `--jobs` write the same bytes.
 //!   `--expect-all-hits` exits 3 unless every job was served from the
-//!   cache.
-//! - **`--check [PATH]`** loads an artifact (default
-//!   `BENCH_sweep.json`) and re-runs *its* matrix — scale, seed and core
-//!   counts come from the artifact — under both steppers, never
-//!   touching the cache. It exits 1 if any **simulated** metric of the
-//!   event-driven run (seed, cycles, instructions, messages, flits,
-//!   flit-hops, memory fingerprint) differs from the artifact, or if the
+//!   cache. Host time goes to the report and the progress lines only.
+//! - **`--check [PATH]`** loads a `tsocc-sweep-baseline/v2` artifact
+//!   (default `BENCH_sweep.json`; any other schema exits 2) and re-runs
+//!   *its* matrix — scale, seed and core counts come from the artifact
+//!   — under both steppers, never touching the cache. It exits 1 if any
+//!   field of a regenerated event-driven row differs from the committed
+//!   row (a missing or extra field counts), or if the
 //!   `Stepper::Reference` run differs from the event-driven one in any
-//!   `RunStats` field or the memory fingerprint. Wall-clock fields are
-//!   ignored: hosts differ, simulations must not. Every flag but
+//!   `RunStats` field or the memory fingerprint. Every flag but
 //!   `--jobs` is rejected next to `--check`.
 
 use tsocc::Stepper;
@@ -40,6 +40,9 @@ use tsocc_workloads::{Benchmark, Scale};
 
 pub const ABOUT: &str =
     "write the baseline sweep artifact through the result cache, or drift-check one";
+
+/// The artifact format the writer emits and `--check` accepts.
+const SCHEMA: &str = "tsocc-sweep-baseline/v2";
 
 /// The flags that pick the matrix, the outputs or the cache — all
 /// meaningless next to `--check`, which takes its matrix from the
@@ -64,7 +67,11 @@ pub fn main(args: Vec<String>) {
         )
         .switch("--no-cache", "compute everything, touch no cache")
         .opt("--jobs", "N", "worker threads (0 = one per CPU)")
-        .opt("--report", "PATH", "tsocc-orch-report/v2 output path")
+        .opt(
+            "--report",
+            "PATH",
+            "tsocc-orch-report/v3 output path (per-job cache hits and wall times)",
+        )
         .opt_default(
             "--check",
             "PATH",
@@ -87,10 +94,10 @@ pub fn main(args: Vec<String>) {
         let path = args.str("--check").unwrap_or("BENCH_sweep.json");
         let mismatches = check_against(path, args.usize("--jobs").unwrap_or(0));
         if mismatches > 0 {
-            eprintln!("{mismatches} simulated metric(s) drifted from {path}");
+            eprintln!("{mismatches} mismatch(es) against {path}");
             std::process::exit(1);
         }
-        eprintln!("all simulated metrics match {path}, under both steppers");
+        eprintln!("every row matches {path}, under both steppers");
     } else {
         write(&args);
     }
@@ -115,19 +122,13 @@ fn write(args: &ParsedArgs) {
     let cache = open_cache(args);
     let report = execute(&jobs, args.usize("--jobs").unwrap_or(0), cache.as_ref());
 
-    // Only host-independent header fields (plus the CPU count the row
-    // timings were taken on): a warm re-run on the same host, whose
-    // rows come back verbatim from the store, writes byte-identical
-    // content.
+    // No host field in the header either: every run of this matrix on
+    // this code writes the same bytes, on any host.
     let doc = json::Object::new()
-        .str("schema", "tsocc-sweep-baseline/v1")
+        .str("schema", SCHEMA)
         .str("bench", Benchmark::Fft.name())
         .str("scale", scale.name())
         .u64("base_seed", seed)
-        .u64(
-            "host_cpus",
-            std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
-        )
         .u64("points_total", report.rows.len() as u64)
         .raw(
             "points",
@@ -172,9 +173,9 @@ fn open_cache(args: &ParsedArgs) -> Option<ResultCache> {
     }
 }
 
-/// Re-runs the artifact's matrix under both steppers and diffs the
-/// simulated metrics. Returns the number of mismatches; an unreadable
-/// or malformed artifact exits 2.
+/// Re-runs the artifact's matrix under both steppers and diffs every
+/// row field by field. Returns the number of mismatches; an unreadable
+/// or malformed artifact, or one of another schema, exits 2.
 fn check_against(path: &str, jobs: usize) -> usize {
     let bad = |msg: String| -> ! {
         eprintln!("tsocc sweep --check: {path}: {msg}");
@@ -182,6 +183,13 @@ fn check_against(path: &str, jobs: usize) -> usize {
     };
     let doc = std::fs::read_to_string(path).unwrap_or_else(|e| bad(format!("cannot read: {e}")));
     let doc = json::parse(&doc).unwrap_or_else(|e| bad(format!("cannot parse: {e}")));
+    match doc.get("schema").and_then(Value::as_str) {
+        Some(SCHEMA) => {}
+        other => bad(format!(
+            "schema {}, expected {SCHEMA}",
+            other.unwrap_or("absent")
+        )),
+    }
     let field = |v: &Value, key: &str| -> u64 {
         v.get(key)
             .and_then(Value::as_u64)
@@ -228,29 +236,28 @@ fn check_against(path: &str, jobs: usize) -> usize {
     let mut mismatches = 0usize;
     for ((old, new), refr) in committed.iter().zip(&results).zip(&reference) {
         let id = format!("{}/{}x{}", new.bench, new.config, new.n_cores);
-        let old_config = old.get("config").and_then(Value::as_str).unwrap_or("?");
-        let old_bench = old.get("bench").and_then(Value::as_str).unwrap_or("?");
-        if old_config != new.config
-            || old_bench != new.bench
-            || field(old, "n_cores") as usize != new.n_cores
-        {
-            eprintln!("MISMATCH {id}: committed row is {old_bench}/{old_config}");
-            mismatches += 1;
-            continue;
+        // The row writer decides the columns: compare the regenerated
+        // row with the committed one over the union of their keys, so a
+        // changed, missing or extra field all count.
+        let row = json::parse(&new.to_json()).expect("the row writer emits valid JSON");
+        let mut keys: Vec<&str> = Vec::new();
+        for v in [&row, old] {
+            if let Value::Obj(fields) = v {
+                for (key, _) in fields {
+                    if !keys.contains(&key.as_str()) {
+                        keys.push(key);
+                    }
+                }
+            }
         }
-        let sim_metrics = [
-            ("seed", new.seed),
-            ("cycles", new.stats.cycles),
-            ("instructions", new.stats.instructions),
-            ("msgs", new.stats.noc.total_messages()),
-            ("flits", new.stats.total_flits()),
-            ("flit_hops", new.stats.noc.flit_hops.get()),
-            ("mem_fp", new.mem_fp),
-        ];
-        for (key, got) in sim_metrics {
-            let want = field(old, key);
+        for key in keys {
+            let (want, got) = (old.get(key), row.get(key));
             if want != got {
-                eprintln!("MISMATCH {id}.{key}: committed {want}, regenerated {got}");
+                eprintln!(
+                    "MISMATCH {id}.{key}: committed {}, regenerated {}",
+                    token(want),
+                    token(got)
+                );
                 mismatches += 1;
             }
         }
@@ -264,4 +271,14 @@ fn check_against(path: &str, jobs: usize) -> usize {
         }
     }
     mismatches
+}
+
+/// A row field as its raw JSON token, or `absent`.
+fn token(value: Option<&Value>) -> String {
+    match value {
+        None => "absent".to_string(),
+        Some(Value::Num(raw)) => raw.clone(),
+        Some(Value::Str(s)) => json::string(s),
+        Some(other) => format!("{other:?}"),
+    }
 }

@@ -34,21 +34,21 @@ pub fn cache_key(canonical: &str, fingerprint: &str) -> String {
     hex128_parts(&["tsocc-orch-key/v2", canonical, fingerprint])
 }
 
+/// The on-disk record format. Records of any other schema fail
+/// [`CacheRecord::parse`]: a lookup evicts and recomputes them, and
+/// `tsocc status` counts them invalid.
+const SCHEMA: &str = "tsocc-orch-cache/v3";
+
 /// One stored result, exactly as serialized to disk.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CacheRecord {
-    /// Human-readable job label (display only; not part of the key).
-    pub label: String,
     /// The canonical job description the key was derived from.
     pub canonical: String,
     /// Code-version fingerprint the result was computed under.
     pub fingerprint: String,
-    /// The original compute time, as the exact serialized token (kept
-    /// as a string so a served record round-trips byte-identically).
-    pub wall_raw: String,
-    /// Simulated metrics, in a fixed order.
-    pub metrics: Vec<(String, u64)>,
-    /// The serialized sweep row, stored verbatim.
+    /// The serialized sweep row, stored verbatim. It holds simulated
+    /// outcomes only, so serving it reproduces a computed row
+    /// byte-for-byte.
     pub payload: String,
 }
 
@@ -60,39 +60,24 @@ impl CacheRecord {
 
     /// Integrity checksum over every content field. Stored in the
     /// record and recomputed on lookup, so any single-field corruption
-    /// — including a flipped digit inside a metric — is detected.
+    /// — including a flipped digit inside the row — is detected.
     fn checksum(&self) -> String {
         let mut h = Fnv::new();
-        h.eat_str("tsocc-orch-record/v2");
-        h.eat_str(&self.label);
+        h.eat_str(SCHEMA);
         h.eat_str(&self.canonical);
         h.eat_str(&self.fingerprint);
-        h.eat_str(&self.wall_raw);
-        for (name, value) in &self.metrics {
-            h.eat_str(name);
-            h.eat_u64(*value);
-        }
         h.eat_str(&self.payload);
         format!("{:016x}", h.finish())
     }
 
     /// Serializes the record (the on-disk format,
-    /// `tsocc-orch-cache/v2`).
+    /// `tsocc-orch-cache/v3`).
     pub fn to_json(&self) -> String {
-        let metrics = self
-            .metrics
-            .iter()
-            .fold(json::Object::new(), |obj, (name, value)| {
-                obj.u64(name, *value)
-            });
         json::Object::new()
-            .str("schema", "tsocc-orch-cache/v2")
+            .str("schema", SCHEMA)
             .str("key", &self.key())
-            .str("label", &self.label)
             .str("canonical", &self.canonical)
             .str("fingerprint", &self.fingerprint)
-            .raw("wall_seconds", &self.wall_raw)
-            .raw("metrics", metrics.build())
             .str("payload", &self.payload)
             .str("checksum", &self.checksum())
             .build()
@@ -107,41 +92,19 @@ impl CacheRecord {
     /// field, checksum mismatch, key mismatch).
     pub fn parse(src: &str) -> Result<CacheRecord, String> {
         let doc = json::parse(src)?;
-        let field = |name: &str| {
-            doc.get(name)
-                .ok_or_else(|| format!("record is missing {name:?}"))
-        };
         let str_field = |name: &str| {
-            field(name)?
+            doc.get(name)
+                .ok_or_else(|| format!("record is missing {name:?}"))?
                 .as_str()
                 .map(str::to_string)
                 .ok_or_else(|| format!("record field {name:?} is not a string"))
         };
-        if str_field("schema")? != "tsocc-orch-cache/v2" {
+        if str_field("schema")? != SCHEMA {
             return Err("record schema mismatch".to_string());
         }
-        let wall_raw = match field("wall_seconds")? {
-            json::Value::Num(raw) => raw.clone(),
-            _ => return Err("record field \"wall_seconds\" is not a number".to_string()),
-        };
-        let metrics = match field("metrics")? {
-            json::Value::Obj(fields) => fields
-                .iter()
-                .map(|(name, value)| {
-                    value
-                        .as_u64()
-                        .map(|v| (name.clone(), v))
-                        .ok_or_else(|| format!("metric {name:?} is not a u64"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("record field \"metrics\" is not an object".to_string()),
-        };
         let record = CacheRecord {
-            label: str_field("label")?,
             canonical: str_field("canonical")?,
             fingerprint: str_field("fingerprint")?,
-            wall_raw,
-            metrics,
             payload: str_field("payload")?,
         };
         if str_field("checksum")? != record.checksum() {
@@ -353,15 +316,9 @@ mod tests {
 
     fn record() -> CacheRecord {
         CacheRecord {
-            label: "fft/MESI/4c".to_string(),
             canonical: "bench=fft;demo=1".to_string(),
             fingerprint: code_fingerprint(),
-            wall_raw: "0.125000".to_string(),
-            metrics: vec![
-                ("cycles".to_string(), 123),
-                ("mem_fp".to_string(), u64::MAX),
-            ],
-            payload: "{\"cycles\": 123}".to_string(),
+            payload: format!("{{\"cycles\": 123, \"mem_fp\": {}}}", u64::MAX),
         }
     }
 

@@ -8,9 +8,11 @@
 //!
 //! Determinism: results land in slots keyed by *job index*, and every
 //! job's seed derives from the job's identity ([`crate::jobs::JobSpec`])
-//! — never from which worker ran it or in what order — so the report's
-//! rows are identical for any worker count, modulo wall-clock timings
-//! (asserted across `--jobs {1, 4}` in `tests/orchestrator.rs`).
+//! — never from which worker ran it or in what order — so the payload
+//! rows are byte-identical for any worker count and whether computed
+//! or served (asserted across `--jobs {1, 4}` in
+//! `tests/orchestrator.rs`). Only the report's `wall_seconds` fields
+//! vary: they time this run and are never stored.
 
 use std::time::Instant;
 
@@ -34,11 +36,6 @@ pub struct JobRow {
     pub cached: bool,
     /// Wall-clock this run spent on the job (serve time when cached).
     pub wall_seconds: f64,
-    /// The *original* compute time as its exact serialized token —
-    /// survives a cache round-trip unchanged.
-    pub compute_wall_raw: String,
-    /// Simulated metrics in a fixed order.
-    pub metrics: Vec<(String, u64)>,
     /// The serialized sweep row.
     pub payload: String,
 }
@@ -60,28 +57,22 @@ impl ExecReport {
         self.rows.iter().filter(|r| r.cached).count()
     }
 
-    /// Serializes the run as a `tsocc-orch-report/v2` document.
-    /// `cache` is `None` under `--no-cache`.
+    /// Serializes the run as a `tsocc-orch-report/v3` document: how
+    /// this run got each row, and how long it took. The rows
+    /// themselves go to the sweep artifact. `cache` is `None` under
+    /// `--no-cache`.
     pub fn to_json(&self, cache: Option<&ResultCache>) -> String {
         let jobs = self.rows.iter().map(|r| {
-            let metrics = r
-                .metrics
-                .iter()
-                .fold(json::Object::new(), |obj, (name, value)| {
-                    obj.u64(name, *value)
-                });
             json::Object::new()
                 .u64("index", r.index as u64)
                 .str("label", &r.label)
                 .str("key", &r.key)
                 .raw("cached", if r.cached { "true" } else { "false" })
                 .f64("wall_seconds", r.wall_seconds)
-                .raw("compute_wall_seconds", &r.compute_wall_raw)
-                .raw("metrics", metrics.build())
                 .build()
         });
         json::Object::new()
-            .str("schema", "tsocc-orch-report/v2")
+            .str("schema", "tsocc-orch-report/v3")
             .str("fingerprint", &code_fingerprint())
             .u64("workers", self.workers as u64)
             .u64("jobs_total", self.rows.len() as u64)
@@ -105,46 +96,32 @@ fn run_job(index: usize, job: &JobSpec, cache: Option<&ResultCache>) -> JobRow {
         Some(c) => c.key_for(&canonical),
         None => crate::cache::cache_key(&canonical, &code_fingerprint()),
     };
-    if let Some(c) = cache {
-        if let Some(record) = c.lookup(&canonical, &key) {
-            return JobRow {
-                index,
-                label,
-                key,
-                cached: true,
-                wall_seconds: t.elapsed().as_secs_f64(),
-                compute_wall_raw: record.wall_raw,
-                metrics: record.metrics,
-                payload: record.payload,
-            };
+    let served = cache.and_then(|c| c.lookup(&canonical, &key));
+    let cached = served.is_some();
+    let payload = match served {
+        Some(record) => record.payload,
+        None => {
+            let payload = job.run();
+            if let Some(c) = cache {
+                let record = CacheRecord {
+                    canonical,
+                    fingerprint: c.fingerprint().to_string(),
+                    payload: payload.clone(),
+                };
+                if let Err(e) = c.store(&record) {
+                    eprintln!("failed to store {label} in the cache: {e}");
+                }
+            }
+            payload
         }
-    }
-    let out = job.run();
-    // The record keeps the wall time in the exact form the JSON writer
-    // emits, so a warm-served row reproduces the cold row byte-for-byte.
-    let wall_raw = format!("{:.6}", out.wall.as_secs_f64());
-    if let Some(c) = cache {
-        let record = CacheRecord {
-            label: label.clone(),
-            canonical,
-            fingerprint: c.fingerprint().to_string(),
-            wall_raw: wall_raw.clone(),
-            metrics: out.metrics.clone(),
-            payload: out.payload.clone(),
-        };
-        if let Err(e) = c.store(&record) {
-            eprintln!("failed to store {label} in the cache: {e}");
-        }
-    }
+    };
     JobRow {
         index,
         label,
         key,
-        cached: false,
+        cached,
         wall_seconds: t.elapsed().as_secs_f64(),
-        compute_wall_raw: wall_raw,
-        metrics: out.metrics,
-        payload: out.payload,
+        payload,
     }
 }
 
@@ -209,32 +186,7 @@ mod tests {
             assert_eq!(a.index, b.index);
             assert_eq!(a.label, b.label);
             assert_eq!(a.key, b.key);
-            assert_eq!(a.metrics, b.metrics, "{}", a.label);
-            // Payload rows embed wall-clock fields, which legitimately
-            // differ run to run; every simulated field must not.
-            let (pa, pb) = (
-                tsocc_bench::json::parse(&a.payload).unwrap(),
-                tsocc_bench::json::parse(&b.payload).unwrap(),
-            );
-            for key in [
-                "bench",
-                "config",
-                "n_cores",
-                "seed",
-                "cycles",
-                "instructions",
-                "msgs",
-                "flits",
-                "flit_hops",
-                "mem_fp",
-            ] {
-                assert_eq!(
-                    format!("{:?}", pa.get(key)),
-                    format!("{:?}", pb.get(key)),
-                    "{}.{key}",
-                    a.label
-                );
-            }
+            assert_eq!(a.payload, b.payload, "{}", a.label);
         }
     }
 

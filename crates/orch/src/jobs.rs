@@ -3,10 +3,12 @@
 //! A [`JobSpec`] is everything needed to (re)compute one sweep point.
 //! [`JobSpec::canonical`] renders that identity as a stable string —
 //! the content the result cache addresses by — and [`JobSpec::run`]
-//! computes the result. The contract between the two: **two specs with
-//! equal canonical strings produce byte-identical simulated metrics**
-//! (under one code fingerprint), and any field change that could move
-//! a simulated metric changes the canonical string.
+//! computes the result, the point's sweep row. The contract between
+//! the two: **two specs with equal canonical strings produce
+//! byte-identical rows** (under one code fingerprint), and any field
+//! change that could move a simulated metric changes the canonical
+//! string. A row holds simulated outcomes only, so the cache never
+//! replays a host timing.
 //!
 //! The one deliberate exclusion is [`tsocc::Stepper`]: both steppers
 //! are held bit-identical in all simulated outcomes
@@ -15,8 +17,6 @@
 //! so the run loop is an execution detail, not part of a result's
 //! identity — a sweep computed under the reference stepper is served to
 //! an event-driven query and vice versa.
-
-use std::time::Duration;
 
 use tsocc::SystemConfig;
 use tsocc_bench::sweep::SweepPoint;
@@ -28,17 +28,6 @@ pub struct JobSpec {
     pub point: SweepPoint,
     /// The sweep's base seed (the point derives its own from it).
     pub base_seed: u64,
-}
-
-/// What running a job produced.
-#[derive(Clone, Debug)]
-pub struct JobOutcome {
-    /// Simulated metrics in a fixed order.
-    pub metrics: Vec<(String, u64)>,
-    /// The serialized sweep row.
-    pub payload: String,
-    /// Compute wall-clock time.
-    pub wall: Duration,
 }
 
 /// Renders the parts of a [`SystemConfig`] that determine simulated
@@ -99,22 +88,10 @@ impl JobSpec {
         )
     }
 
-    /// Computes the job.
-    pub fn run(&self) -> JobOutcome {
-        let r = self.point.run(self.base_seed);
-        JobOutcome {
-            metrics: vec![
-                ("seed".to_string(), r.seed),
-                ("cycles".to_string(), r.stats.cycles),
-                ("instructions".to_string(), r.stats.instructions),
-                ("msgs".to_string(), r.stats.noc.total_messages()),
-                ("flits".to_string(), r.stats.total_flits()),
-                ("flit_hops".to_string(), r.stats.noc.flit_hops.get()),
-                ("mem_fp".to_string(), r.mem_fp),
-            ],
-            payload: r.to_json(),
-            wall: r.wall,
-        }
+    /// Computes the job: the point's serialized sweep row
+    /// ([`tsocc_bench::sweep::PointResult::to_json`]).
+    pub fn run(&self) -> String {
+        self.point.run(self.base_seed).to_json()
     }
 }
 
@@ -156,22 +133,5 @@ mod tests {
             base_seed: 8,
         };
         assert_ne!(canon, other.canonical());
-    }
-
-    #[test]
-    fn sweep_run_metrics_match_the_payload_row() {
-        let job = JobSpec {
-            point: point(),
-            base_seed: 7,
-        };
-        let out = job.run();
-        let row = tsocc_bench::json::parse(&out.payload).unwrap();
-        for (name, value) in &out.metrics {
-            assert_eq!(
-                row.get(name).and_then(|v| v.as_u64()),
-                Some(*value),
-                "metric {name} diverges from the payload row"
-            );
-        }
     }
 }

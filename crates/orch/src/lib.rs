@@ -37,4 +37,4 @@ mod srchash;
 pub use cache::{cache_key, CacheRecord, CacheStats, ResultCache};
 pub use executor::{execute, ExecReport, JobRow};
 pub use fingerprint::code_fingerprint;
-pub use jobs::{canonical_config, JobOutcome, JobSpec};
+pub use jobs::{canonical_config, JobSpec};

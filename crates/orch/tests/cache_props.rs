@@ -217,12 +217,9 @@ proptest! {
         let dir = tmp_dir();
         let cache = ResultCache::open(&dir).unwrap();
         let record = CacheRecord {
-            label: "prop".to_string(),
             canonical: format!("bench=fft;seed={seed}"),
             fingerprint: code_fingerprint(),
-            wall_raw: "0.001000".to_string(),
-            metrics: vec![("cycles".to_string(), cycles), ("flits".to_string(), !cycles)],
-            payload: format!("{{\"cycles\": {cycles}}}"),
+            payload: format!("{{\"cycles\": {cycles}, \"flits\": {}}}", !cycles),
         };
         let key = record.key();
         cache.store(&record).unwrap();
@@ -235,8 +232,9 @@ proptest! {
             src[..cut % (src.len() - 2)].to_string()
         } else {
             // Replace one digit with a different digit: whichever field
-            // it lands in (a metric, the checksum, the key, the wall
-            // time, the payload), some validation gate must trip.
+            // it lands in (the canonical description, the fingerprint,
+            // the checksum, the key, a metric in the payload), some
+            // validation gate must trip.
             let digits: Vec<usize> = src
                 .char_indices()
                 .filter(|(_, c)| c.is_ascii_digit())

@@ -1,7 +1,7 @@
 //! The `tsocc` binary's command-line contract, driven as a user drives
 //! it: every help page, strict rejection of bad input (exit 2 with the
 //! usage page), and the sweep artifact's write → `--check` round trip,
-//! including a drift the check must catch.
+//! including the drifts the check must catch.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -166,59 +166,87 @@ fn unknown_input_exits_two_with_the_usage_page() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Writes `artifact` to `dir/name`, runs `tsocc sweep --check` on it
+/// and returns the exit code and stderr.
+fn run_check(dir: &Path, name: &str, artifact: &str) -> (Option<i32>, String) {
+    std::fs::write(dir.join(name), artifact).unwrap();
+    let out = tsocc(dir, &["sweep", "--check", name]);
+    (out.status.code(), stderr(&out))
+}
+
 #[test]
 fn sweep_artifact_round_trips_through_the_drift_check_and_drift_fails_it() {
     let dir = tmp_dir();
-    let write = tsocc(
-        &dir,
-        &[
-            "sweep",
-            "--no-cache",
-            "--cores",
-            "2",
-            "--scale",
-            "tiny",
-            "--out",
-            "A.json",
-        ],
-    );
-    assert_eq!(write.status.code(), Some(0), "{}", stderr(&write));
+    // The artifact holds simulated outcomes only: any worker count
+    // writes the same bytes.
+    for (jobs, out) in [("1", "A.json"), ("2", "A2.json")] {
+        let write = tsocc(
+            &dir,
+            &[
+                "sweep",
+                "--no-cache",
+                "--jobs",
+                jobs,
+                "--cores",
+                "2",
+                "--scale",
+                "tiny",
+                "--out",
+                out,
+            ],
+        );
+        assert_eq!(write.status.code(), Some(0), "{}", stderr(&write));
+    }
     assert!(
         !dir.join(".tsocc-cache").exists(),
         "--no-cache opened the cache"
     );
-    let check = tsocc(&dir, &["sweep", "--check", "A.json"]);
-    assert_eq!(check.status.code(), Some(0), "{}", stderr(&check));
-    assert!(stderr(&check).contains("Reference"), "{}", stderr(&check));
+    let artifact = std::fs::read_to_string(dir.join("A.json")).unwrap();
+    assert_eq!(
+        artifact,
+        std::fs::read_to_string(dir.join("A2.json")).unwrap(),
+        "--jobs 1 and --jobs 2 wrote different artifacts"
+    );
+    let (code, err) = run_check(&dir, "A.json", &artifact);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(err.contains("Reference"), "{err}");
 
     // Raise the first row's cycle count by one: the check must fail
     // and name the field. (`mem_fp` would be a poor probe: kernels
     // leave DRAM empty, so every row carries the empty-input hash.)
-    let artifact = std::fs::read_to_string(dir.join("A.json")).unwrap();
     let at = artifact.find("\"cycles\": ").unwrap() + "\"cycles\": ".len();
     let len = artifact[at..].find(',').unwrap();
     let cycles: u64 = artifact[at..at + len].parse().unwrap();
     let drifted = format!("{}{}{}", &artifact[..at], cycles + 1, &artifact[at + len..]);
-    std::fs::write(dir.join("B.json"), drifted).unwrap();
-    let check = tsocc(&dir, &["sweep", "--check", "B.json"]);
-    assert_eq!(check.status.code(), Some(1), "{}", stderr(&check));
+    let (code, err) = run_check(&dir, "B.json", &drifted);
+    assert_eq!(code, Some(1), "{err}");
     assert!(
-        stderr(&check).contains(&format!(".cycles: committed {}", cycles + 1)),
-        "{}",
-        stderr(&check)
+        err.contains(&format!(".cycles: committed {}", cycles + 1)),
+        "{err}"
     );
+
+    // A field the row writer does not emit fails the check too: every
+    // column of a row is compared, not a fixed list.
+    let extra = artifact.replacen("\"cycles\": ", "\"wall_seconds\": 0.001, \"cycles\": ", 1);
+    let (code, err) = run_check(&dir, "W.json", &extra);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(
+        err.contains(".wall_seconds: committed 0.001, regenerated absent"),
+        "{err}"
+    );
+
+    // An artifact of the old schema is rejected before anything runs.
+    let old = artifact.replacen("tsocc-sweep-baseline/v2", "tsocc-sweep-baseline/v1", 1);
+    let (code, err) = run_check(&dir, "V1.json", &old);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("schema tsocc-sweep-baseline/v1"), "{err}");
 
     // An artifact with no rows has nothing to re-run: it is malformed,
     // not vacuously clean.
     let points = artifact.find("\"points\": [").unwrap() + "\"points\": [".len();
     let empty = format!("{}]}}\n", &artifact[..points]);
-    std::fs::write(dir.join("E.json"), empty).unwrap();
-    let check = tsocc(&dir, &["sweep", "--check", "E.json"]);
-    assert_eq!(check.status.code(), Some(2), "{}", stderr(&check));
-    assert!(
-        stderr(&check).contains("empty points"),
-        "{}",
-        stderr(&check)
-    );
+    let (code, err) = run_check(&dir, "E.json", &empty);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("empty points"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

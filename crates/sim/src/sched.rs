@@ -37,8 +37,9 @@
 //! assert_eq!(q.stats().stale_skips, 1);
 //! ```
 
-/// Scheduler counters, reported per run in the system's `RunStats` so
-/// scheduler regressions are visible in benchmark-artifact diffs.
+/// Scheduler counters, reported per run in the system's `RunStats`.
+/// They stay out of the sweep artifact, which holds simulated outcomes
+/// only; the host-time benchmark (`perfbench/`) reports them.
 ///
 /// These count *host-side* queue traffic, not simulated events: the
 /// reference stepper (which never touches the queue) reports zeros, and

@@ -46,11 +46,6 @@ impl TraceSink {
         }
     }
 
-    /// Whether lines are currently recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Turns recording on or off.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;

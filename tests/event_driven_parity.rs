@@ -1,9 +1,11 @@
-//! The event-driven scheduler's headline contract: for every point of
-//! the sweep matrix, jumping simulated time over idle cycles must
-//! produce **bit-identical** results to the cycle-by-cycle reference
-//! stepper — the full [`RunStats`] (cycles, messages, flits, flit-hops,
-//! every histogram and counter) and the final DRAM image — while
-//! executing strictly fewer host steps.
+//! The event-driven scheduler's headline contract: jumping simulated
+//! time over idle cycles must produce **bit-identical** results to the
+//! cycle-by-cycle reference stepper — the full [`RunStats`] (cycles,
+//! messages, flits, flit-hops, every histogram and counter) and the
+//! final DRAM image — while executing strictly fewer host steps. This
+//! suite checks the 27 sweep points at 2, 4 and 8 cores plus every
+//! benchmark at tiny scale; `tsocc sweep --check` checks all 63 points
+//! of `BENCH_sweep.json` (2–128 cores).
 //!
 //! [`RunStats`]: tsocc::RunStats
 
@@ -76,9 +78,10 @@ fn assert_point_parity(point: &SweepPoint) {
     );
 }
 
-/// The exact `BENCH_sweep.json` matrix: fft × all 9 sweep protocol
-/// configurations (7 paper configs + 2 MESI-coarse directory points) ×
-/// {2, 4, 8} cores at Small scale.
+/// The 2-, 4- and 8-core slice of the `BENCH_sweep.json` matrix: fft ×
+/// all 9 sweep protocol configurations (7 paper configs + 2 MESI-coarse
+/// directory points) at Small scale. The artifact's 16- to 128-core
+/// points are left to `tsocc sweep --check`.
 #[test]
 fn sweep_matrix_is_bit_identical_across_steppers() {
     let mut checked = 0;
