@@ -11,7 +11,9 @@
 //! an exhaustive check of the same machine code the big simulations
 //! run, not of a hand-abstracted model.
 //!
-//! On every explored state it checks the coherence axioms:
+//! After every transition that touches an L1 it checks the coherence
+//! axioms (only such a transition can change an L1's permissions, so
+//! every reached state is covered):
 //!
 //! - **single writer** (all protocols): at most one L1 holds a line
 //!   with write permission;
@@ -28,12 +30,17 @@
 //!
 //! Naive schedule enumeration explodes factorially, so the explorer
 //! implements **dynamic partial-order reduction** (Flanagan &
-//! Godefroid) with sleep sets: after executing a transition it finds
-//! the last dependent transition in the trace and plants a backtrack
-//! point there; schedules that merely commute independent transitions
-//! are never replayed. Dependence is keyed on the controller touched
-//! and refined by cache line: two deliveries to the same controller
-//! for *different* lines with disjoint emission channels commute.
+//! Godefroid) with sleep sets: after executing a transition it plants
+//! a backtrack point before *every* earlier dependent transition in
+//! the trace (planting only before the last one is incomplete without
+//! happens-before vector clocks), and sleep sets keep schedules that
+//! merely commute independent transitions from being explored again.
+//! Each depth-first frame keeps its done, backtrack and sleep sets as
+//! bitmasks over its enabled choices, so a state may enable at most 64
+//! choices; a wider one is rejected with [`CheckError::FrameTooWide`].
+//! Dependence is keyed on the controller touched and refined by cache
+//! line: two deliveries to the same controller for *different* lines
+//! with disjoint emission channels commute.
 //! (The refinement is sound here because checker configurations place
 //! pool lines in distinct cache sets with spare ways — no evictions —
 //! and it is disabled outright when a protocol mutation is armed,
@@ -165,6 +172,12 @@ pub enum CheckError {
     /// The x86-TSO oracle state space outgrew
     /// [`CheckOpts::oracle_max_states`].
     OracleTooLarge(StateSpaceTooLarge),
+    /// A reached state enables more choices than the explorer's frame
+    /// masks hold (64).
+    FrameTooWide {
+        /// The number of enabled choices.
+        width: usize,
+    },
 }
 
 impl std::fmt::Display for CheckError {
@@ -172,6 +185,10 @@ impl std::fmt::Display for CheckError {
         match self {
             CheckError::Config(e) => write!(f, "config rejected: {}", e.0),
             CheckError::OracleTooLarge(e) => write!(f, "oracle: {e}"),
+            CheckError::FrameTooWide { width } => write!(
+                f,
+                "a state enables {width} choices; the explorer covers at most {MAX_FRAME_WIDTH}"
+            ),
         }
     }
 }
@@ -233,25 +250,12 @@ pub fn check_model(
         .build()
         .map_err(CheckError::Config)?;
     let programs: Vec<_> = program.iter().map(|ops| core_ops(ops, pool)).collect();
-    let mut explorer = Explorer {
-        cfg: &cfg,
-        programs,
-        // One-shot fault triggers are order-sensitive even across
-        // different lines, so the same-controller commutation
-        // refinement is only safe on the unmutated protocol.
-        refine_lines: faults.protocol.is_none(),
-        opts: *opts,
-        report: CheckReport {
-            schedules: 0,
-            transitions: 0,
-            sleep_blocked: 0,
-            outcomes: BTreeSet::new(),
-            allowed,
-            violations: Vec::new(),
-            complete: true,
-        },
-    };
-    explorer.explore().map_err(CheckError::Config)?;
+    // One-shot fault triggers are order-sensitive even across different
+    // lines, so the same-controller commutation refinement is only safe
+    // on the unmutated protocol.
+    let refine_lines = faults.protocol.is_none();
+    let mut explorer = Explorer::new(&cfg, programs, refine_lines, *opts, allowed);
+    explorer.explore()?;
     Ok(explorer.report)
 }
 
@@ -429,39 +433,82 @@ pub fn run_mutation(case: &MutationCase, opts: &CheckOpts) -> Result<MutationOut
     })
 }
 
+/// A set of a frame's choices, as a bitmask over its `enabled` list:
+/// bit `i` stands for `enabled[i]`.
+type Mask = u64;
+
+/// The widest frame a [`Mask`] covers; a state with more enabled
+/// choices is rejected with [`CheckError::FrameTooWide`].
+const MAX_FRAME_WIDTH: usize = Mask::BITS as usize;
+
+/// The mask of choice `index`.
+fn bit(index: usize) -> Mask {
+    1 << index
+}
+
 /// One executed transition in the current trace.
 #[derive(Clone, Debug)]
 struct ExecStep {
     choice: Choice,
+    /// Its position in the frame's `enabled` list.
+    index: usize,
     info: StepInfo,
 }
 
 /// The DFS frame for one depth of the current trace.
 struct Frame {
     /// Enabled choices at this state, in the scheduler's canonical
-    /// order (identical on every replay).
+    /// order (identical on every replay). At most [`MAX_FRAME_WIDTH`].
     enabled: Vec<Choice>,
     /// Choices fully explored from this state.
-    done: BTreeSet<Choice>,
+    done: Mask,
     /// Race-driven exploration obligations (DPOR mode).
-    backtrack: BTreeSet<Choice>,
+    backtrack: Mask,
     /// Choices proven redundant here (explored at an ancestor and
     /// still independent of everything since).
-    sleep: BTreeSet<Choice>,
+    sleep: Mask,
     /// The choice currently being explored below this frame.
     chosen: Option<ExecStep>,
 }
 
 impl Frame {
-    fn new(enabled: Vec<Choice>, sleep: BTreeSet<Choice>) -> Frame {
+    fn new(enabled: Vec<Choice>, sleep: Mask) -> Frame {
         Frame {
             enabled,
-            done: BTreeSet::new(),
-            backtrack: BTreeSet::new(),
+            done: 0,
+            backtrack: 0,
             sleep,
             chosen: None,
         }
     }
+
+    /// Every enabled choice.
+    fn all(&self) -> Mask {
+        Mask::MAX
+            .checked_shr((MAX_FRAME_WIDTH - self.enabled.len()) as u32)
+            .unwrap_or(0)
+    }
+
+    /// The enabled choices that belong to process `p`.
+    fn of_process(&self, p: &Process) -> Mask {
+        self.enabled
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| process(c) == *p)
+            .fold(0, |mask, (i, _)| mask | bit(i))
+    }
+}
+
+/// The enabled choices of `state`, rejected when a frame's masks
+/// cannot hold them.
+fn enabled_choices(state: &ScheduledSystem) -> Result<Vec<Choice>, CheckError> {
+    let enabled = state.enabled();
+    if enabled.len() > MAX_FRAME_WIDTH {
+        return Err(CheckError::FrameTooWide {
+            width: enabled.len(),
+        });
+    }
+    Ok(enabled)
 }
 
 /// The process a choice belongs to, for backtrack-point planting: the
@@ -487,13 +534,33 @@ struct Explorer<'a> {
     report: CheckReport,
 }
 
-impl Explorer<'_> {
+impl<'a> Explorer<'a> {
+    fn new(
+        cfg: &'a SystemConfig,
+        programs: Vec<Vec<tsocc_coherence::CoreOp>>,
+        refine_lines: bool,
+        opts: CheckOpts,
+        allowed: BTreeSet<Vec<u64>>,
+    ) -> Self {
+        Explorer {
+            cfg,
+            programs,
+            refine_lines,
+            opts,
+            report: CheckReport {
+                allowed,
+                complete: true,
+                ..CheckReport::default()
+            },
+        }
+    }
+
     /// Depth-first stateless exploration: descend picking one choice
     /// per frame, check terminals, backtrack to the deepest frame with
     /// an outstanding obligation, replay the prefix, repeat.
-    fn explore(&mut self) -> Result<(), tsocc::ConfigError> {
-        let mut state = ScheduledSystem::new(self.cfg, self.programs.clone())?;
-        let mut frames = vec![Frame::new(state.enabled(), BTreeSet::new())];
+    fn explore(&mut self) -> Result<(), CheckError> {
+        let mut state = self.fresh_state()?;
+        let mut frames = vec![Frame::new(enabled_choices(&state)?, 0)];
         loop {
             if !self.report.violations.is_empty() {
                 self.report.complete = false;
@@ -516,8 +583,8 @@ impl Explorer<'_> {
                 self.violation(ViolationKind::Livelock, &frames);
                 continue;
             }
-            let Some(choice) = self.pick(frame) else {
-                if frame.chosen.is_none() && frame.done.is_empty() {
+            let Some(index) = self.pick(frame) else {
+                if frame.chosen.is_none() && frame.done == 0 {
                     // Every enabled choice is asleep: this whole branch
                     // is a reordering of independent transitions the
                     // search has already covered.
@@ -528,43 +595,45 @@ impl Explorer<'_> {
                 }
                 continue;
             };
+            let choice = frame.enabled[index];
             let info = state.apply(choice);
             self.report.transitions += 1;
             if !self.opts.naive {
                 self.plant_backtrack(&mut frames, choice, &info);
             }
-            let child_sleep = self.child_sleep(frames.last().expect("frame"), choice, &info);
-            frames.last_mut().expect("frame").chosen = Some(ExecStep { choice, info });
-            self.check_axioms(&state, &frames);
-            frames.push(Frame::new(state.enabled(), child_sleep));
+            // Only an L1 transition can change an L1's permissions:
+            // deliveries to an L2 or a memory controller leave the
+            // axioms as the previous check found them.
+            let at_l1 = matches!(info.ctrl, Agent::L1(_));
+            frames.last_mut().expect("frame").chosen = Some(ExecStep {
+                choice,
+                index,
+                info,
+            });
+            if at_l1 {
+                self.check_axioms(&state, &frames);
+            }
+            let enabled = enabled_choices(&state)?;
+            let sleep = self.child_sleep(frames.last().expect("frame"), &enabled);
+            frames.push(Frame::new(enabled, sleep));
         }
     }
 
-    /// The next unexplored choice at `frame`, or `None` when the frame
-    /// is exhausted (or sleep-set blocked).
-    fn pick(&self, frame: &Frame) -> Option<Choice> {
+    /// The index of the next unexplored choice at `frame`, or `None`
+    /// when the frame is exhausted (or sleep-set blocked).
+    fn pick(&self, frame: &Frame) -> Option<usize> {
         debug_assert!(frame.chosen.is_none());
-        if self.opts.naive {
+        let candidates = if self.opts.naive {
             // Exhaustive enumeration: every enabled choice, no pruning.
-            return frame
-                .enabled
-                .iter()
-                .copied()
-                .find(|c| !frame.done.contains(c));
-        }
-        if frame.done.is_empty() {
+            frame.all() & !frame.done
+        } else if frame.done == 0 {
             // First visit: any non-sleeping choice seeds the subtree.
-            frame
-                .enabled
-                .iter()
-                .copied()
-                .find(|c| !frame.sleep.contains(c))
+            frame.all() & !frame.sleep
         } else {
             // Revisit: only race-mandated obligations are explored.
-            frame.enabled.iter().copied().find(|c| {
-                frame.backtrack.contains(c) && !frame.done.contains(c) && !frame.sleep.contains(c)
-            })
-        }
+            frame.backtrack & !frame.done & !frame.sleep
+        };
+        (candidates != 0).then(|| candidates.trailing_zeros() as usize)
     }
 
     /// Race detection: plant an exploration obligation before *every*
@@ -578,32 +647,18 @@ impl Explorer<'_> {
     /// same-line store buffering). Planting at all of them
     /// over-approximates the obligation set, trading some pruning for
     /// unconditional coverage; the sleep sets claw most of it back.
-    fn plant_backtrack(&mut self, frames: &mut [Frame], choice: Choice, info: &StepInfo) {
-        let depth = frames.len() - 1;
-        for i in (0..depth).rev() {
-            let dependent = {
-                let prior = frames[i].chosen.as_ref().expect("executed frame");
-                self.dependent(prior, choice, info)
-            };
-            if !dependent {
+    fn plant_backtrack(&self, frames: &mut [Frame], choice: Choice, info: &StepInfo) {
+        let p = process(choice);
+        let (_, prefix) = frames.split_last_mut().expect("current frame");
+        for frame in prefix.iter_mut().rev() {
+            let prior = frame.chosen.as_ref().expect("executed frame");
+            if !self.dependent(prior, choice, info) {
                 continue;
             }
-            let p = process(choice);
-            let alts: Vec<Choice> = frames[i]
-                .enabled
-                .iter()
-                .copied()
-                .filter(|&c| process(c) == p)
-                .collect();
-            if alts.is_empty() {
-                // The process had nothing enabled there (the race is
-                // causally downstream): conservatively oblige every
-                // choice.
-                let all = frames[i].enabled.clone();
-                frames[i].backtrack.extend(all);
-            } else {
-                frames[i].backtrack.extend(alts);
-            }
+            let alts = frame.of_process(&p);
+            // When the process had nothing enabled there (the race is
+            // causally downstream), conservatively oblige every choice.
+            frame.backtrack |= if alts == 0 { frame.all() } else { alts };
         }
     }
 
@@ -650,20 +705,31 @@ impl Explorer<'_> {
         false
     }
 
-    /// The sleep set for the child frame after taking `choice`:
-    /// everything fully explored or asleep at the parent that stays
-    /// independent of the executed step.
-    fn child_sleep(&self, frame: &Frame, choice: Choice, info: &StepInfo) -> BTreeSet<Choice> {
+    /// The sleep set for the child of `frame` (whose `chosen` step was
+    /// just taken), over the child's `enabled` list: everything fully
+    /// explored or asleep at the parent that stays independent of the
+    /// executed step.
+    fn child_sleep(&self, frame: &Frame, enabled: &[Choice]) -> Mask {
         if self.opts.naive {
-            return BTreeSet::new();
+            return 0;
         }
-        frame
-            .sleep
-            .iter()
-            .chain(frame.done.iter())
-            .copied()
-            .filter(|&s| s != choice && sleeps_through(s, info))
-            .collect()
+        let step = frame.chosen.as_ref().expect("chosen step");
+        let mut carried = frame.sleep | frame.done;
+        let mut sleep = 0;
+        while carried != 0 {
+            let s = frame.enabled[carried.trailing_zeros() as usize];
+            carried &= carried - 1;
+            if !sleeps_through(s, &step.info) {
+                continue;
+            }
+            // An independent step can neither advance a sleeping
+            // thread nor pop a sleeping channel, so the choice must
+            // still be enabled in the child.
+            let at = enabled.iter().position(|&c| c == s).unwrap_or(usize::MAX);
+            assert!(at < enabled.len(), "sleeping {s:?} disabled by {step:?}");
+            sleep |= bit(at);
+        }
+        sleep
     }
 
     /// Pops exhausted frames, marks their choices done, and replays the
@@ -673,16 +739,16 @@ impl Explorer<'_> {
         &mut self,
         frames: &mut Vec<Frame>,
         state: &mut ScheduledSystem,
-    ) -> Result<bool, tsocc::ConfigError> {
+    ) -> Result<bool, CheckError> {
         loop {
             frames.pop();
             let Some(frame) = frames.last_mut() else {
                 return Ok(false);
             };
             let step = frame.chosen.take().expect("ancestor frames have chosen");
-            frame.done.insert(step.choice);
+            frame.done |= bit(step.index);
             if self.pick(frame).is_some() {
-                *state = ScheduledSystem::new(self.cfg, self.programs.clone())?;
+                *state = self.fresh_state()?;
                 for f in &frames[..frames.len() - 1] {
                     state.apply(f.chosen.as_ref().expect("prefix frame").choice);
                 }
@@ -691,12 +757,17 @@ impl Explorer<'_> {
         }
     }
 
-    /// Terminal-state checks: deadlock-freedom and the TSO outcome
-    /// oracle.
+    /// The initial state of the checked machine.
+    fn fresh_state(&self) -> Result<ScheduledSystem, CheckError> {
+        ScheduledSystem::new(self.cfg, self.programs.clone()).map_err(CheckError::Config)
+    }
+
+    /// Terminal-state checks (the state has no enabled choice):
+    /// deadlock-freedom and the TSO outcome oracle.
     fn on_terminal(&mut self, state: &ScheduledSystem, frames: &[Frame]) {
         self.report.schedules += 1;
-        match state.terminal() {
-            Some(Terminal::Done) => {
+        match state.stuck() {
+            Terminal::Done => {
                 let outcome = state.outcome();
                 if !self.report.allowed.contains(&outcome) {
                     self.violation(
@@ -708,12 +779,12 @@ impl Explorer<'_> {
                 }
                 self.report.outcomes.insert(outcome);
             }
-            Some(Terminal::Deadlock) => self.violation(ViolationKind::Deadlock, frames),
-            None => unreachable!("on_terminal called with enabled choices"),
+            Terminal::Deadlock => self.violation(ViolationKind::Deadlock, frames),
         }
     }
 
-    /// State-invariant checks, run after every transition.
+    /// State-invariant checks, run after every transition that touched
+    /// an L1.
     fn check_axioms(&mut self, state: &ScheduledSystem, frames: &[Frame]) {
         let access = state.l1_access();
         let mut lines: Vec<LineAddr> = access
@@ -813,6 +884,13 @@ mod tests {
         // the relaxed [0, 0].
         assert_eq!(report.outcomes, report.allowed);
         assert!(report.outcomes.contains(&vec![0, 0]));
+        // The explored tree's (schedules, transitions, sleep-blocked)
+        // totals: any change to the exploration order, the race
+        // detection or the sleep sets moves them.
+        assert_eq!(
+            (report.schedules, report.transitions, report.sleep_blocked),
+            (6_216, 62_782, 8_997)
+        );
     }
 
     #[test]
@@ -866,6 +944,40 @@ mod tests {
         .unwrap();
         assert!(dpor.complete && dpor.violations.is_empty());
         assert_eq!(dpor.outcomes, dpor.allowed);
+    }
+
+    #[test]
+    fn a_frame_wider_than_its_masks_is_rejected_with_its_width() {
+        // One fence per thread: every thread's issue is enabled at the
+        // root, and fences at different L1s commute, so a frame exactly
+        // as wide as the masks explores in one schedule.
+        let explore = |threads: usize| {
+            let cfg = SystemConfig::builder()
+                .small()
+                .cores(threads)
+                .protocol(Protocol::TsoCc(tsocc_proto::TsoCcConfig::basic()))
+                .build()
+                .unwrap();
+            let programs = vec![vec![tsocc_coherence::CoreOp::Fence]; threads];
+            let allowed = BTreeSet::from([Vec::new()]);
+            let mut explorer = Explorer::new(&cfg, programs, true, CheckOpts::default(), allowed);
+            explorer.explore().map(|()| explorer.report)
+        };
+        let report = explore(MAX_FRAME_WIDTH).unwrap();
+        assert!(
+            report.complete && report.violations.is_empty(),
+            "{report:?}"
+        );
+        assert_eq!(
+            (report.schedules, report.transitions),
+            (1, MAX_FRAME_WIDTH as u64)
+        );
+        let err = explore(MAX_FRAME_WIDTH + 1).unwrap_err();
+        assert!(
+            matches!(err, CheckError::FrameTooWide { width: 65 }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("enables 65 choices"), "{err}");
     }
 
     #[test]

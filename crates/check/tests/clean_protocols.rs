@@ -20,14 +20,20 @@ fn every_protocol_family_is_clean_on_exhaustive_sb() {
     // One representative per family: the full-vector MESI baseline,
     // the coarse directory at its tightest paper point (P2, G2), and
     // lazy TSO-CC. Both words of the pool share one cache line, so the
-    // run exercises same-line conflict detection end to end.
+    // run exercises same-line conflict detection end to end. Each
+    // carries the explored tree's (schedules, transitions,
+    // sleep-blocked) totals: any change to the exploration order, the
+    // race detection or the sleep sets moves them.
     let families = [
-        Protocol::Mesi,
-        Protocol::MesiCoarse(MesiCoarseConfig::new(2, 2)),
-        Protocol::TsoCc(TsoCcConfig::basic()),
+        (Protocol::Mesi, (5_376, 42_587, 3_544)),
+        (
+            Protocol::MesiCoarse(MesiCoarseConfig::new(2, 2)),
+            (5_376, 42_587, 3_544),
+        ),
+        (Protocol::TsoCc(TsoCcConfig::basic()), (1_344, 12_347, 688)),
     ];
     let pool = pool_for_lines(1);
-    for protocol in families {
+    for (protocol, tree) in families {
         let report = check_model(
             &protocol,
             FaultPlan::none(),
@@ -47,6 +53,12 @@ fn every_protocol_family_is_clean_on_exhaustive_sb() {
             report.outcomes,
             report.allowed,
             "{}: outcome set diverges from the TSO oracle",
+            protocol.name()
+        );
+        assert_eq!(
+            (report.schedules, report.transitions, report.sleep_blocked),
+            tree,
+            "{}: the explored tree changed",
             protocol.name()
         );
     }

@@ -19,13 +19,15 @@ fn all_four_mutations_are_caught_and_shrink_to_verified_reproducers() {
     };
     let cases = mutation_cases(2, 1, 0);
     assert_eq!(cases.len(), 4);
+    // The last column is the schedules explored before the catch: 0
+    // means the axiom check fired before the first terminal state.
     let expected = [
-        ("drop_inv_ack", "deadlock"),
-        ("corrupt_sharers", "reader_writer_overlap"),
-        ("skip_ts_reset", "forbidden_outcome"),
-        ("hold_mshr", "deadlock"),
+        ("drop_inv_ack", "deadlock", 1),
+        ("corrupt_sharers", "reader_writer_overlap", 0),
+        ("skip_ts_reset", "forbidden_outcome", 1_079),
+        ("hold_mshr", "deadlock", 1),
     ];
-    for (case, (name, kind)) in cases.iter().zip(expected) {
+    for (case, (name, kind, schedules)) in cases.iter().zip(expected) {
         assert_eq!(case.name, name);
         let outcome = run_mutation(case, &opts).unwrap();
         assert!(outcome.caught, "{name}: mutation escaped the checker");
@@ -34,6 +36,10 @@ fn all_four_mutations_are_caught_and_shrink_to_verified_reproducers() {
             Some(kind),
             "{name}: caught as {:?}",
             outcome.violation
+        );
+        assert_eq!(
+            outcome.schedules, schedules,
+            "{name}: caught after a different number of schedules"
         );
         assert!(
             outcome.shrunk_verified,

@@ -292,13 +292,16 @@ impl ScheduledSystem {
 
     /// Classifies an empty enabled set; `None` while choices remain.
     pub fn terminal(&self) -> Option<Terminal> {
-        if !self.enabled().is_empty() {
-            return None;
-        }
+        self.enabled().is_empty().then(|| self.stuck())
+    }
+
+    /// Classifies a state the caller already found to have an empty
+    /// [`Self::enabled`] set, without enumerating it again.
+    pub fn stuck(&self) -> Terminal {
         if self.threads.iter().all(ThreadShim::done) {
-            Some(Terminal::Done)
+            Terminal::Done
         } else {
-            Some(Terminal::Deadlock)
+            Terminal::Deadlock
         }
     }
 
@@ -436,7 +439,7 @@ impl ScheduledSystem {
         for _ in 0..max_steps {
             let enabled = self.enabled();
             if enabled.is_empty() {
-                return self.terminal();
+                return Some(self.stuck());
             }
             let idx = scheduler.pick(&enabled)?;
             self.apply(enabled[idx]);

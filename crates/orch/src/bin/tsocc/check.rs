@@ -27,15 +27,16 @@
 //!   ([`tsocc_check::mutation_cases`] placed by `--seed`); every fault
 //!   must be caught and shrink to a re-verified minimal reproducer.
 //!
-//! Exit status: nonzero iff a clean-mode violation was found, a
-//! mutation escaped, or the budget expired before the run finished.
+//! Exit status: 1 if a clean-mode violation was found, a mutation
+//! escaped, or the budget expired before the run finished; 2 if the
+//! checker rejects the configuration.
 
 use std::time::{Duration, Instant};
 
 use tsocc_bench::cli::Cli;
 use tsocc_bench::json;
 use tsocc_check::{
-    check_model, mutation_cases, pool_for_lines, run_mutation, CheckOpts, CheckReport,
+    check_model, mutation_cases, pool_for_lines, run_mutation, CheckError, CheckOpts, CheckReport,
 };
 use tsocc_coherence::FaultPlan;
 use tsocc_conform::{litmus_text, op_count};
@@ -59,6 +60,14 @@ fn pad(mut program: ModelProgram, cores: usize) -> ModelProgram {
         program.push(Vec::new());
     }
     program
+}
+
+/// A configuration the checker rejects (past the protocol's core
+/// limit, or an oracle state space or a frame too large): exits 2 with
+/// the reason.
+fn rejected(protocol: &Protocol, e: CheckError) -> ! {
+    eprintln!("tsocc check: {}: {e}", protocol.name());
+    std::process::exit(2)
 }
 
 struct ProtocolResult {
@@ -130,7 +139,7 @@ pub fn main(args: Vec<String>) {
             }
             let program = pad(program.clone(), cores);
             let report = check_model(protocol, FaultPlan::none(), &program, &pool, &opts)
-                .expect("oracle state space fits the default bound");
+                .unwrap_or_else(|e| rejected(protocol, e));
             checked += 1;
             totals.schedules += report.schedules;
             totals.transitions += report.transitions;
@@ -175,7 +184,7 @@ pub fn main(args: Vec<String>) {
         &pool,
         &opts,
     )
-    .expect("probe oracle fits");
+    .unwrap_or_else(|e| rejected(&protocols[0], e));
     let naive = (naive_cap > 0).then(|| {
         check_model(
             &protocols[0],
@@ -188,7 +197,7 @@ pub fn main(args: Vec<String>) {
                 ..CheckOpts::default()
             },
         )
-        .expect("probe oracle fits")
+        .unwrap_or_else(|e| rejected(&protocols[0], e))
     });
     let check_reduction = naive.as_ref().map(|n| dpor.reduction(n)).unwrap_or(0.0);
     if let Some(n) = &naive {
@@ -278,7 +287,7 @@ fn run_mutation_mode(
             budget_exhausted = true;
             break;
         }
-        let outcome = run_mutation(case, &opts).expect("mutation oracle fits the default bound");
+        let outcome = run_mutation(case, &opts).unwrap_or_else(|e| rejected(&case.protocol, e));
         let ok = outcome.caught && outcome.shrunk_verified;
         caught += ok as usize;
         eprintln!(

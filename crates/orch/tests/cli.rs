@@ -161,6 +161,15 @@ fn unknown_input_exits_two_with_the_usage_page() {
             stderr(&out)
         );
     }
+    // A machine the checker rejects exits 2 with the reason, not a
+    // panic.
+    let out = tsocc(&dir, &["check", "--cores", "129", "--protocol", "MESI"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("encodes at most 128 cores"),
+        "{}",
+        stderr(&out)
+    );
     // Nothing ran, so nothing was written.
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
     let _ = std::fs::remove_dir_all(&dir);
