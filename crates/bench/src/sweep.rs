@@ -1,8 +1,7 @@
 //! The sweep engine: runs a matrix of (benchmark × protocol × machine)
 //! configuration points, fanning the points out over worker threads.
 //! Its shared-counter pool, [`fan_out`], is the workspace's one worker
-//! pool: the orchestrator's cache-aware executor runs its jobs on it
-//! too.
+//! pool.
 //!
 //! Each point gets a **deterministic seed** derived from the base seed
 //! and the point's identity (benchmark, protocol, core count) — never
@@ -18,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use tsocc::{RunStats, Stepper, System, SystemConfig};
+use tsocc::{ConfigError, RunStats, Stepper, System, SystemConfig};
 use tsocc_mem::Addr;
 use tsocc_protocols::Protocol;
 use tsocc_sim::rng::SplitMix64;
@@ -87,24 +86,33 @@ impl SweepPoint {
         self.run_with_stepper(base_seed, Stepper::default())
     }
 
-    /// The exact [`SystemConfig`] this point runs under (with its
-    /// derived per-point seed installed) — exposed so the orchestrator
-    /// can content-address a point by the *resolved* machine, including
-    /// every field the builder derives from the core count.
+    /// The exact [`SystemConfig`] this point runs under, with its
+    /// derived per-point seed installed.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the point's configuration is invalid (the run path
-    /// reports that case with exit code 2 instead; see
-    /// [`SweepPoint::run_with_stepper`]).
-    pub fn system_config(&self, base_seed: u64) -> SystemConfig {
+    /// [`ConfigError`] if the machine is invalid: no cores, or more
+    /// cores than the protocol's directory encodes. Front ends build
+    /// every point's config through this before running any, so a bad
+    /// `--cores` value is rejected up front.
+    pub fn try_system_config(&self, base_seed: u64) -> Result<SystemConfig, ConfigError> {
         let mut cfg = SystemConfig::builder()
             .cores(self.n_cores)
             .protocol(self.protocol)
-            .build()
-            .expect("valid config");
+            .build()?;
         cfg.seed = self.seed(base_seed);
-        cfg
+        Ok(cfg)
+    }
+
+    /// [`SweepPoint::try_system_config`] for a point known to be valid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the point's configuration is invalid; so do
+    /// [`SweepPoint::run`] and [`SweepPoint::run_with_stepper`], which
+    /// build their machine through this.
+    pub fn system_config(&self, base_seed: u64) -> SystemConfig {
+        self.try_system_config(base_seed).expect("valid config")
     }
 
     /// Runs this point under a specific [`Stepper`] — the hook behind
@@ -117,21 +125,7 @@ impl SweepPoint {
         let mut cfg = self.system_config(base_seed);
         cfg.stepper = stepper;
         let t = Instant::now();
-        // Benchmark drivers are batch programs: a rejected machine
-        // configuration is an operator error, reported cleanly with
-        // exit code 2 rather than a panic backtrace.
-        let mut sys = match System::try_new(cfg, workload.programs.clone()) {
-            Ok(sys) => sys,
-            Err(e) => {
-                eprintln!(
-                    "sweep point {} on {} ({} cores): {e}",
-                    self.bench.name(),
-                    self.protocol.name(),
-                    self.n_cores
-                );
-                std::process::exit(2);
-            }
-        };
+        let mut sys = System::new(cfg, workload.programs);
         for &(addr, value) in &workload.init {
             sys.write_word(Addr::new(addr), value);
         }

@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use tsocc::{FaultPlan, System, SystemConfig};
+use tsocc::{ConfigError, FaultPlan, System, SystemConfig};
 use tsocc_isa::RmwOp;
 use tsocc_protocols::Protocol;
 use tsocc_sim::rng::SplitMix64;
@@ -85,6 +85,32 @@ impl Default for CampaignOpts {
             faults: FaultPlan::none(),
         }
     }
+}
+
+impl CampaignOpts {
+    /// Builds the machine a `gen.threads`-thread program runs on under
+    /// every campaign protocol, so a thread count that some protocol
+    /// cannot honour is rejected before the campaign starts.
+    ///
+    /// # Errors
+    ///
+    /// `"NAME: reason"` for the first protocol whose machine is
+    /// invalid.
+    pub fn check_machines(&self) -> Result<(), String> {
+        for &protocol in &self.protocols {
+            machine(self.gen.threads, protocol).map_err(|e| format!("{}: {e}", protocol.name()))?;
+        }
+        Ok(())
+    }
+}
+
+/// The small test machine a program runs on: one core per thread.
+fn machine(threads: usize, protocol: Protocol) -> Result<SystemConfig, ConfigError> {
+    SystemConfig::builder()
+        .small()
+        .cores(threads)
+        .protocol(protocol)
+        .build()
 }
 
 /// One confirmed conformance violation, with its shrunk reproducer.
@@ -292,12 +318,7 @@ fn run_once(
     faults: FaultPlan,
 ) -> Result<Vec<u64>, String> {
     let compiled = compile_program(program, pool, jitter);
-    let mut cfg = SystemConfig::builder()
-        .small()
-        .cores(program.len().max(1))
-        .protocol(protocol)
-        .build()
-        .expect("valid config");
+    let mut cfg = machine(program.len().max(1), protocol).expect("valid config");
     cfg.seed = seed;
     cfg.faults = faults;
     let mut sys = System::new(cfg, compiled);

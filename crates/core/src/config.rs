@@ -100,67 +100,44 @@ pub struct SystemConfig {
 /// Typed constructor for [`SystemConfig`], the one blessed way to build
 /// a machine. Starts from the paper's Table 2 preset; [`Self::small`]
 /// switches to the small test machine. Geometry that the presets derive
-/// from the core count (`n_mem`, `l2_banks`, the mesh, the seed) stays
-/// derived unless set explicitly, so
-/// `SystemConfig::builder().cores(n).protocol(p).build()` is
-/// field-identical to the historical `table2_with_cores(p, n)` at every
-/// `n` — the builder migration cannot perturb a single simulated
-/// metric.
+/// from the core count (`n_mem`, `l2_banks`, the mesh) and the seed are
+/// always derived, so `SystemConfig::builder().cores(n).protocol(p).build()`
+/// is field-identical to the historical `table2_with_cores(p, n)` at
+/// every `n` — the builder migration cannot perturb a single simulated
+/// metric. To depart from a preset, assign the public field on the
+/// built config: [`crate::System::try_new`] validates it again.
 ///
 /// ```
 /// use tsocc::{Stepper, SystemConfig};
 /// use tsocc_protocols::Protocol;
 ///
-/// let cfg = SystemConfig::builder()
+/// let mut cfg = SystemConfig::builder()
 ///     .small()
 ///     .cores(2)
 ///     .protocol(Protocol::Mesi)
-///     .stepper(Stepper::EventDriven)
 ///     .build()
 ///     .expect("valid config");
+/// cfg.stepper = Stepper::Reference;
 /// assert_eq!(cfg.n_cores, 2);
 /// ```
 #[derive(Clone, Debug)]
 pub struct SystemConfigBuilder {
     n_cores: usize,
-    n_mem: Option<usize>,
-    mesh: Option<(usize, usize)>,
-    l2_banks: Option<usize>,
-    core: CoreConfig,
-    l1_params: CacheParams,
-    l2_params: CacheParams,
-    l2_latency: u64,
-    mem_latency: u64,
-    noc: NocConfig,
     protocol: Option<ProtocolHandle>,
-    seed: Option<u64>,
-    stepper: Stepper,
     faults: FaultPlan,
     small: bool,
 }
 
 impl SystemConfigBuilder {
-    /// Switches every preset field to the small test machine: tiny
-    /// caches (8×2 L1, 16×4 L2) force evictions, short latencies keep
-    /// litmus iteration fast. Call **before** overriding individual
-    /// fields — the preset replaces the cache geometry, the latencies,
-    /// and the core parameters wholesale.
+    /// Switches to the small test machine: tiny caches (8×2 L1, 16×4
+    /// L2) force evictions, short latencies keep litmus iteration fast.
     pub fn small(mut self) -> Self {
-        self.core = CoreConfig {
-            write_buffer_entries: 8,
-            l1_hit_latency: 1,
-        };
-        self.l1_params = CacheParams::new(8, 2);
-        self.l2_params = CacheParams::new(16, 4);
-        self.l2_latency = 4;
-        self.mem_latency = 20;
         self.small = true;
         self
     }
 
-    /// Sets the core count. Unless overridden, `n_mem`, `l2_banks`, and
-    /// the mesh keep deriving from it exactly as the presets always
-    /// have.
+    /// Sets the core count; `n_mem`, `l2_banks` and the mesh derive
+    /// from it exactly as the presets always have.
     pub fn cores(mut self, n: usize) -> Self {
         self.n_cores = n;
         self
@@ -172,63 +149,10 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Sets the run loop (defaults to [`Stepper::EventDriven`]).
-    pub fn stepper(mut self, stepper: Stepper) -> Self {
-        self.stepper = stepper;
-        self
-    }
-
     /// Sets the deterministic fault-injection plan (defaults to
     /// [`FaultPlan::none`]).
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Sets the seed for all deterministic randomness (defaults to the
-    /// preset's seed: `0xC0FFEE` for Table 2, `42` for the small
-    /// machine).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Overrides the memory-controller count (defaults to the preset's
-    /// core-count clamp).
-    pub fn mem_controllers(mut self, n_mem: usize) -> Self {
-        self.n_mem = Some(n_mem);
-        self
-    }
-
-    /// Overrides the mesh dimensions (defaults to the near-square mesh
-    /// for the tile count).
-    pub fn mesh(mut self, rows: usize, cols: usize) -> Self {
-        self.mesh = Some((rows, cols));
-        self
-    }
-
-    /// Overrides the L2 bank count (defaults to the preset rule: 2 from
-    /// 128 cores up on the Table 2 machine, 1 otherwise).
-    pub fn l2_banks(mut self, banks: usize) -> Self {
-        self.l2_banks = Some(banks);
-        self
-    }
-
-    /// Overrides the core pipeline/write-buffer parameters.
-    pub fn core(mut self, core: CoreConfig) -> Self {
-        self.core = core;
-        self
-    }
-
-    /// Overrides the L2 array access latency (cycles).
-    pub fn l2_latency(mut self, cycles: u64) -> Self {
-        self.l2_latency = cycles;
-        self
-    }
-
-    /// Overrides the memory access latency (cycles).
-    pub fn mem_latency(mut self, cycles: u64) -> Self {
-        self.mem_latency = cycles;
         self
     }
 
@@ -239,8 +163,8 @@ impl SystemConfigBuilder {
     /// # Errors
     ///
     /// [`ConfigError`] when no protocol was set or the assembled
-    /// configuration violates a constraint (mesh/tile mismatch,
-    /// zero-core machine, directory capacity, …).
+    /// configuration violates a constraint (zero-core machine,
+    /// directory capacity, …).
     pub fn build(self) -> Result<SystemConfig, ConfigError> {
         let Some(protocol) = self.protocol else {
             return Err(ConfigError(
@@ -248,26 +172,39 @@ impl SystemConfigBuilder {
             ));
         };
         let n = self.n_cores;
-        let (auto_mem, auto_banks, auto_seed) = if self.small {
-            (n.clamp(1, 2), 1, 42)
-        } else {
-            (n.clamp(1, 4), if n >= 128 { 2 } else { 1 }, 0xC0FFEE)
-        };
-        let cfg = SystemConfig {
+        let table2 = SystemConfig {
             n_cores: n,
-            n_mem: self.n_mem.unwrap_or(auto_mem),
-            mesh: self.mesh,
-            l2_banks: self.l2_banks.unwrap_or(auto_banks),
-            core: self.core,
-            l1_params: self.l1_params,
-            l2_params: self.l2_params,
-            l2_latency: self.l2_latency,
-            mem_latency: self.mem_latency,
-            noc: self.noc,
+            n_mem: n.clamp(1, 4),
+            mesh: None,
+            l2_banks: if n >= 128 { 2 } else { 1 },
+            core: CoreConfig::default(),
+            l1_params: CacheParams::from_capacity(32 * 1024, 4),
+            l2_params: CacheParams::from_capacity(1024 * 1024, 16),
+            l2_latency: 20,
+            mem_latency: 150,
+            noc: NocConfig::default(),
             protocol,
-            seed: self.seed.unwrap_or(auto_seed),
-            stepper: self.stepper,
+            seed: 0xC0FFEE,
+            stepper: Stepper::default(),
             faults: self.faults,
+        };
+        let cfg = if self.small {
+            SystemConfig {
+                n_mem: n.clamp(1, 2),
+                l2_banks: 1,
+                core: CoreConfig {
+                    write_buffer_entries: 8,
+                    l1_hit_latency: 1,
+                },
+                l1_params: CacheParams::new(8, 2),
+                l2_params: CacheParams::new(16, 4),
+                l2_latency: 4,
+                mem_latency: 20,
+                seed: 42,
+                ..table2
+            }
+        } else {
+            table2
         };
         cfg.validate().map_err(ConfigError)?;
         Ok(cfg)
@@ -281,18 +218,7 @@ impl SystemConfig {
     pub fn builder() -> SystemConfigBuilder {
         SystemConfigBuilder {
             n_cores: 32,
-            n_mem: None,
-            mesh: None,
-            l2_banks: None,
-            core: CoreConfig::default(),
-            l1_params: CacheParams::from_capacity(32 * 1024, 4),
-            l2_params: CacheParams::from_capacity(1024 * 1024, 16),
-            l2_latency: 20,
-            mem_latency: 150,
-            noc: NocConfig::default(),
             protocol: None,
-            seed: None,
-            stepper: Stepper::default(),
             faults: FaultPlan::none(),
             small: false,
         }
@@ -381,9 +307,12 @@ mod tests {
 
     #[test]
     fn mesh_override_must_match_tile_count() {
-        assert!(mesi().small().cores(4).mesh(1, 4).build().is_ok());
-        let err = mesi().small().cores(4).mesh(2, 3).build().unwrap_err();
-        assert!(err.0.contains("routers"), "{err}");
+        let mut cfg = mesi().small().cores(4).build().unwrap();
+        cfg.mesh = Some((1, 4));
+        assert!(cfg.validate().is_ok());
+        cfg.mesh = Some((2, 3));
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("routers"), "{err}");
     }
 
     #[test]
@@ -472,23 +401,5 @@ mod tests {
             assert_eq!(small.l2_params.lines(), 16 * 4);
             assert_eq!((small.l2_latency, small.mem_latency), (4, 20));
         }
-    }
-
-    /// Explicit overrides beat the preset's derived fields.
-    #[test]
-    fn builder_overrides_beat_derived_defaults() {
-        let cfg = mesi()
-            .small()
-            .cores(4)
-            .seed(7)
-            .mem_controllers(1)
-            .l2_banks(2)
-            .stepper(Stepper::Reference)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.n_mem, 1);
-        assert_eq!(cfg.l2_banks, 2);
-        assert_eq!(cfg.stepper, Stepper::Reference);
     }
 }

@@ -13,9 +13,10 @@
 //! ```
 //!
 //! Defaults: 16 cores, seed 7. `--json` additionally writes every row
-//! as a machine-readable `tsocc-ablation/v1` report.
+//! as a machine-readable `tsocc-ablation/v1` report. A `--cores` value
+//! the machine cannot honour exits 2 before anything runs.
 
-use tsocc::SystemConfig;
+use tsocc::{ConfigError, SystemConfig};
 use tsocc_bench::cli::Cli;
 use tsocc_bench::json;
 use tsocc_proto::{TsParams, TsoCcConfig};
@@ -24,14 +25,20 @@ use tsocc_workloads::{run_workload, Benchmark, Scale};
 
 pub const ABOUT: &str = "ablation sweeps over TSO-CC's design parameters";
 
-fn run(protocol: Protocol, n_cores: usize, bench: Benchmark, seed: u64) -> tsocc::RunStats {
-    let w = bench.build(n_cores, Scale::Small, seed);
+/// The Table 2 machine with `n_cores` cores that the benchmark rows run
+/// on.
+fn machine(protocol: Protocol, n_cores: usize, seed: u64) -> Result<SystemConfig, ConfigError> {
     let mut cfg = SystemConfig::builder()
         .cores(n_cores)
         .protocol(protocol)
-        .build()
-        .expect("valid config");
+        .build()?;
     cfg.seed = seed;
+    Ok(cfg)
+}
+
+fn run(protocol: Protocol, n_cores: usize, bench: Benchmark, seed: u64) -> tsocc::RunStats {
+    let w = bench.build(n_cores, Scale::Small, seed);
+    let cfg = machine(protocol, n_cores, seed).expect("vetted before the first row");
     run_workload(&w, cfg).expect("terminates")
 }
 
@@ -74,6 +81,12 @@ pub fn main(args: Vec<String>) {
         .parse(args);
     let n = args.usize("--cores").unwrap_or(16);
     let seed = args.u64("--seed").unwrap_or(7);
+    // Every benchmark row runs a TSO-CC variant on the same machine, and
+    // the variants share one shape check.
+    let tsocc = Protocol::TsoCc(TsoCcConfig::default());
+    if let Err(e) = machine(tsocc, n, seed) {
+        args.fail(format!("--cores {n} on {}: {e}", tsocc.name()));
+    }
     let mut rows: Vec<String> = Vec::new();
 
     println!("== Ablation 1: Shared-line access budget (max_acc), x264 wavefront ==");

@@ -28,8 +28,8 @@
 //!   must be caught and shrink to a re-verified minimal reproducer.
 //!
 //! Exit status: 1 if a clean-mode violation was found, a mutation
-//! escaped, or the budget expired before the run finished; 2 if the
-//! checker rejects the configuration.
+//! escaped, or the budget expired before the run finished; 2 if
+//! `--cores` is below 2 or the checker rejects the configuration.
 
 use std::time::{Duration, Instant};
 
@@ -96,7 +96,12 @@ pub fn main(args: Vec<String>) {
 
     let budget = Duration::from_millis(args.u64("--budget-ms").unwrap_or(120_000));
     let seed = args.u64("--seed").unwrap_or(0);
-    let cores = args.usize("--cores").unwrap_or(2).max(2);
+    let cores = args.usize("--cores").unwrap_or(2);
+    if cores < 2 {
+        args.fail(format!(
+            "--cores {cores}: the two-thread litmus family needs at least 2 cores"
+        ));
+    }
     let lines = args.usize("--lines").unwrap_or(1);
     let ops = args.usize("--ops").unwrap_or(2);
     let naive_cap = args.u64("--naive-cap").unwrap_or(200_000);

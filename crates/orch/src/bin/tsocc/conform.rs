@@ -19,6 +19,9 @@
 //! demonstrates (and in CI smoke-tests) the catcher + shrinker end to
 //! end.
 //!
+//! A `--cores` value some selected protocol cannot build a machine for
+//! exits 2 before anything runs.
+//!
 //! Exit status: nonzero iff violations were found under the TSO oracle
 //! (under `--oracle sc` violations are the expected outcome and the
 //! exit flips: zero iff at least one violation was caught and shrunk).
@@ -88,6 +91,9 @@ fn parse_args(args: Vec<String>) -> (CampaignOpts, String) {
         Protocol::Mesi,
         Protocol::TsoCc(TsoCcConfig::realistic(12, 3)),
     ]);
+    if let Err(e) = opts.check_machines() {
+        args.fail(format!("--cores {} on {e}", opts.gen.threads));
+    }
     let out = args
         .str("--out")
         .unwrap_or("CONFORM_report.json")

@@ -7,11 +7,12 @@
 //! `SEL` is `table1`–`table3`, `fig2`–`fig9`, `separation` or `all`.
 //! Several selections render in order and share one benchmark sweep
 //! ([`tsocc_bench::figures::render_all`]); `all` prints everything.
-//! Defaults are the paper's: 32 cores, `small` scale.
+//! Defaults are the paper's: 32 cores, `small` scale. A `--cores` value
+//! some paper configuration cannot build exits 2 before anything runs.
 
 use tsocc_bench::cli::Cli;
 use tsocc_bench::figures::render_all;
-use tsocc_bench::SweepOpts;
+use tsocc_bench::{Sweep, SweepOpts};
 
 pub const ABOUT: &str = "regenerate tables and figures of the paper";
 
@@ -37,6 +38,7 @@ pub fn main(args: Vec<String>) {
         seed: args.u64("--seed").unwrap_or(defaults.seed),
         threads: args.usize("--jobs").unwrap_or(defaults.threads),
     };
+    crate::vet_points(&args, &Sweep::paper_points(&opts), opts.seed);
     if let Err(e) = render_all(args.positionals(), opts) {
         eprintln!("tsocc figures: {e}");
         std::process::exit(2);

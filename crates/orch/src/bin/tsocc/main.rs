@@ -6,12 +6,16 @@
 //!
 //! One module per subcommand: `sweep` (the committed sweep artifact and
 //! its drift check), `figures` and `ablation` (the paper's tables,
-//! figures and §4.2 design-space sweeps), `litmus` (§4.3), `conform`,
-//! `check` and `faults` (the conformance, model-checking and
-//! fault-injection campaigns), and `status` (what the result cache
-//! behind `sweep` holds). Every subcommand parses its flags through
-//! [`tsocc_bench::cli`]: `tsocc <subcommand> --help` lists them, and an
-//! unknown flag or a malformed value exits 2 with the usage page.
+//! figures and §4.2 design-space sweeps), `litmus` (§4.3), and
+//! `conform`, `check` and `faults` (the conformance, model-checking and
+//! fault-injection campaigns). Every subcommand parses its flags
+//! through [`tsocc_bench::cli`]: `tsocc <subcommand> --help` lists
+//! them, and an unknown flag, a malformed value or a `--cores` value
+//! the subcommand cannot honour exits 2 with the usage page before
+//! anything runs.
+
+use tsocc_bench::cli::ParsedArgs;
+use tsocc_bench::sweep::SweepPoint;
 
 mod ablation;
 mod check;
@@ -19,7 +23,6 @@ mod conform;
 mod faults;
 mod figures;
 mod litmus;
-mod status;
 mod sweep;
 
 /// A subcommand's entry point, handed the arguments after the
@@ -27,7 +30,7 @@ mod sweep;
 type Run = fn(Vec<String>);
 
 /// Every subcommand: its name, its one-line description, its entry.
-const SUBCOMMANDS: [(&str, &str, Run); 8] = [
+const SUBCOMMANDS: [(&str, &str, Run); 7] = [
     ("sweep", sweep::ABOUT, sweep::main),
     ("figures", figures::ABOUT, figures::main),
     ("ablation", ablation::ABOUT, ablation::main),
@@ -35,8 +38,23 @@ const SUBCOMMANDS: [(&str, &str, Run); 8] = [
     ("conform", conform::ABOUT, conform::main),
     ("check", check::ABOUT, check::main),
     ("faults", faults::ABOUT, faults::main),
-    ("status", status::ABOUT, status::main),
 ];
+
+/// Builds every point's machine through the fallible builder before
+/// the fan-out: a core count the machine cannot honour (no cores, or
+/// more than a protocol's directory encodes) exits 2 with the usage
+/// page instead of panicking in a worker.
+fn vet_points(args: &ParsedArgs, points: &[SweepPoint], base_seed: u64) {
+    for point in points {
+        if let Err(e) = point.try_system_config(base_seed) {
+            args.fail(format!(
+                "--cores {} on {}: {e}",
+                point.n_cores,
+                point.protocol.name()
+            ));
+        }
+    }
+}
 
 fn usage() -> String {
     let mut page = String::from(

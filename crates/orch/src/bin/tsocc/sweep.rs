@@ -2,76 +2,50 @@
 //! one.
 //!
 //! ```text
-//! tsocc sweep [--cores LIST] [--scale NAME] [--seed N] [--out PATH]
-//!             [--cache-dir PATH] [--no-cache] [--jobs N] [--report PATH]
-//!             [--expect-all-hits]
+//! tsocc sweep [--cores LIST] [--scale NAME] [--seed N] [--out PATH] [--jobs N]
 //! tsocc sweep --check [PATH] [--jobs N]
 //! ```
 //!
 //! - **Write** runs the baseline matrix
 //!   ([`tsocc_bench::sweep::baseline_matrix`], default 2–128 cores at
-//!   `small` scale) through the cache-aware executor and writes a
-//!   `tsocc-sweep-baseline/v2` artifact (default `BENCH_sweep.json`)
-//!   plus a `tsocc-orch-report/v3` run report. A row
-//!   ([`tsocc_bench::sweep::PointResult::to_json`]) holds simulated
-//!   outcomes only, and a cached record stores it verbatim, so the
-//!   artifact is a pure function of the code and the matrix: cold,
-//!   warm, `--no-cache` and any `--jobs` write the same bytes.
-//!   `--expect-all-hits` exits 3 unless every job was served from the
-//!   cache. Host time goes to the report and the progress lines only.
+//!   `small` scale) on the sweep engine's worker pool and writes a
+//!   `tsocc-sweep-baseline/v2` artifact (default `BENCH_sweep.json`),
+//!   nothing else. A row ([`tsocc_bench::sweep::PointResult::to_json`])
+//!   holds simulated outcomes only, so the artifact is a pure function
+//!   of the code and the matrix: any `--jobs` writes the same bytes.
+//!   Host time goes to the progress lines only. A `--cores` list that
+//!   repeats a count, or names one a protocol cannot build, exits 2
+//!   before anything runs.
 //! - **`--check [PATH]`** loads a `tsocc-sweep-baseline/v2` artifact
 //!   (default `BENCH_sweep.json`; any other schema exits 2) and re-runs
 //!   *its* matrix — scale, seed and core counts come from the artifact
-//!   — under both steppers, never touching the cache. It exits 1 if any
-//!   field of a regenerated event-driven row differs from the committed
-//!   row (a missing or extra field counts), or if the
-//!   `Stepper::Reference` run differs from the event-driven one in any
-//!   `RunStats` field or the memory fingerprint. Every flag but
-//!   `--jobs` is rejected next to `--check`.
+//!   — under both steppers. It exits 1 if any field of a regenerated
+//!   event-driven row differs from the committed row (a missing or
+//!   extra field counts), or if the `Stepper::Reference` run differs
+//!   from the event-driven one in any `RunStats` field or the memory
+//!   fingerprint. Every flag but `--jobs` is rejected next to
+//!   `--check`.
+
+use std::time::Instant;
 
 use tsocc::Stepper;
 use tsocc_bench::cli::{Cli, ParsedArgs};
 use tsocc_bench::json::{self, Value};
-use tsocc_bench::sweep::{baseline_matrix, run_points_with, SweepOpts};
-use tsocc_orch::executor::execute;
-use tsocc_orch::jobs::JobSpec;
-use tsocc_orch::ResultCache;
+use tsocc_bench::sweep::{baseline_matrix, run_points, run_points_with, PointResult, SweepOpts};
 use tsocc_workloads::{Benchmark, Scale};
 
-pub const ABOUT: &str =
-    "write the baseline sweep artifact through the result cache, or drift-check one";
+pub const ABOUT: &str = "write the baseline sweep artifact, or drift-check one";
 
 /// The artifact format the writer emits and `--check` accepts.
 const SCHEMA: &str = "tsocc-sweep-baseline/v2";
 
-/// The flags that pick the matrix, the outputs or the cache — all
-/// meaningless next to `--check`, which takes its matrix from the
-/// artifact and never opens the cache.
-const WRITE_ONLY: [&str; 8] = [
-    "--cores",
-    "--scale",
-    "--seed",
-    "--out",
-    "--cache-dir",
-    "--no-cache",
-    "--report",
-    "--expect-all-hits",
-];
+/// The flags that pick the matrix or the output — meaningless next to
+/// `--check`, which takes its matrix from the artifact.
+const WRITE_ONLY: [&str; 4] = ["--cores", "--scale", "--seed", "--out"];
 
 pub fn main(args: Vec<String>) {
     let args = Cli::new("tsocc sweep", ABOUT)
-        .opt(
-            "--cache-dir",
-            "PATH",
-            "content-addressed result store directory (default .tsocc-cache)",
-        )
-        .switch("--no-cache", "compute everything, touch no cache")
         .opt("--jobs", "N", "worker threads (0 = one per CPU)")
-        .opt(
-            "--report",
-            "PATH",
-            "tsocc-orch-report/v3 output path (per-job cache hits and wall times)",
-        )
         .opt_default(
             "--check",
             "PATH",
@@ -82,10 +56,6 @@ pub fn main(args: Vec<String>) {
         .opt("--scale", "NAME", "workload scale: tiny, small, full")
         .opt("--seed", "N", "base sweep seed")
         .opt("--out", "PATH", "sweep artifact output path")
-        .switch(
-            "--expect-all-hits",
-            "exit 3 unless every job was served from the cache",
-        )
         .parse(args);
     if args.present("--check") {
         if let Some(flag) = WRITE_ONLY.iter().find(|f| args.present(f)) {
@@ -109,19 +79,19 @@ fn write(args: &ParsedArgs) {
     let core_counts = args
         .usize_list("--cores")
         .unwrap_or_else(|| vec![2, 4, 8, 16, 32, 64, 128]);
+    // `--check` rebuilds the matrix from the rows' distinct core
+    // counts, so a repeated count would write an artifact it rejects.
+    for (i, n) in core_counts.iter().enumerate() {
+        if core_counts[..i].contains(n) {
+            args.fail(format!("--cores lists {n} twice"));
+        }
+    }
     let out_path = args.str("--out").unwrap_or("BENCH_sweep.json");
-    let report_path = args.str("--report").unwrap_or("ORCH_report.json");
+    let points = baseline_matrix(scale, &core_counts);
+    crate::vet_points(args, &points, seed);
 
-    let jobs: Vec<JobSpec> = baseline_matrix(scale, &core_counts)
-        .into_iter()
-        .map(|point| JobSpec {
-            point,
-            base_seed: seed,
-        })
-        .collect();
-    let cache = open_cache(args);
-    let report = execute(&jobs, args.usize("--jobs").unwrap_or(0), cache.as_ref());
-
+    let start = Instant::now();
+    let rows = run_points(&points, args.usize("--jobs").unwrap_or(0), seed);
     // No host field in the header either: every run of this matrix on
     // this code writes the same bytes, on any host.
     let doc = json::Object::new()
@@ -129,48 +99,15 @@ fn write(args: &ParsedArgs) {
         .str("bench", Benchmark::Fft.name())
         .str("scale", scale.name())
         .u64("base_seed", seed)
-        .u64("points_total", report.rows.len() as u64)
-        .raw(
-            "points",
-            json::array(report.rows.iter().map(|r| r.payload.clone())),
-        )
+        .u64("points_total", rows.len() as u64)
+        .raw("points", json::array(rows.iter().map(PointResult::to_json)))
         .build();
     std::fs::write(out_path, doc + "\n").expect("write sweep artifact");
-    std::fs::write(report_path, report.to_json(cache.as_ref()) + "\n")
-        .expect("write orchestrator report");
-
-    let cached = report.cached_rows();
-    let total = report.rows.len();
-    let hits = match &cache {
-        Some(cache) => format!(
-            "{cached} cached, hit rate {:.0}%",
-            cache.stats().hit_rate() * 100.0
-        ),
-        None => "cache disabled".to_string(),
-    };
     eprintln!(
-        "tsocc sweep: {total} jobs ({hits}), {:.2}s; wrote {out_path}, {report_path}",
-        report.wall_seconds
+        "tsocc sweep: {} points, {:.2}s; wrote {out_path}",
+        rows.len(),
+        start.elapsed().as_secs_f64()
     );
-    if args.present("--expect-all-hits") && cached != total {
-        eprintln!(
-            "tsocc sweep: expected an all-hit run, but only {cached}/{total} jobs were served from the cache"
-        );
-        std::process::exit(3);
-    }
-}
-
-/// Opens the store named by `--cache-dir` unless `--no-cache`; `None`
-/// means compute-only.
-fn open_cache(args: &ParsedArgs) -> Option<ResultCache> {
-    if args.present("--no-cache") {
-        return None;
-    }
-    let dir = args.str("--cache-dir").unwrap_or(".tsocc-cache");
-    match ResultCache::open(dir) {
-        Ok(cache) => Some(cache),
-        Err(e) => args.fail(format!("cannot open cache at {dir}: {e}")),
-    }
 }
 
 /// Re-runs the artifact's matrix under both steppers and diffs every

@@ -9,21 +9,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Every subcommand with exactly the flags its help page must list
 /// (`--help` itself aside).
-const SURFACE: [(&str, &[&str]); 8] = [
+const SURFACE: [(&str, &[&str]); 7] = [
     (
         "sweep",
-        &[
-            "--cache-dir",
-            "--no-cache",
-            "--jobs",
-            "--report",
-            "--check",
-            "--cores",
-            "--scale",
-            "--seed",
-            "--out",
-            "--expect-all-hits",
-        ],
+        &["--jobs", "--check", "--cores", "--scale", "--seed", "--out"],
     ),
     ("figures", &["--cores", "--scale", "--seed", "--jobs"]),
     ("ablation", &["--cores", "--seed", "--json"]),
@@ -60,7 +49,6 @@ const SURFACE: [(&str, &[&str]); 8] = [
         ],
     ),
     ("faults", &["--budget-ms", "--seed", "--out", "--iters"]),
-    ("status", &["--cache-dir"]),
 ];
 
 /// A fresh scratch directory, so nothing a command writes lands in the
@@ -126,7 +114,7 @@ fn every_help_page_exits_zero_and_lists_exactly_its_flags() {
         assert_eq!(listed, want, "tsocc {name} --help:\n{}", stdout(&out));
         total += flags.len();
     }
-    assert_eq!(total, 44, "the whole flag surface");
+    assert_eq!(total, 39, "the whole flag surface");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -135,13 +123,31 @@ fn unknown_input_exits_two_with_the_usage_page() {
     let dir = tmp_dir();
     let no_subcommand = tsocc(&dir, &[]);
     assert_eq!(no_subcommand.status.code(), Some(2));
-    let unknown = tsocc(&dir, &["orchestrate"]);
-    assert_eq!(unknown.status.code(), Some(2));
-    assert!(stderr(&unknown).contains("usage: tsocc <subcommand>"));
+    for name in ["orchestrate", "status"] {
+        let unknown = tsocc(&dir, &[name]);
+        assert_eq!(unknown.status.code(), Some(2), "tsocc {name}");
+        assert!(stderr(&unknown).contains("usage: tsocc <subcommand>"));
+    }
     for args in [
         &["sweep", "--bogus"][..],
+        // The sweep keeps no result cache, so it takes no cache flags.
+        &["sweep", "--no-cache"],
+        &["sweep", "--cache-dir", "X"],
         // A bad entry in a core list.
-        &["sweep", "--cores", "2,x", "--scale", "tiny", "--no-cache"],
+        &["sweep", "--cores", "2,x", "--scale", "tiny"],
+        // Core counts no machine or no protocol can honour, rejected
+        // before any point runs.
+        &["sweep", "--cores", "0", "--scale", "tiny"],
+        &["sweep", "--cores", "129", "--scale", "tiny"],
+        // `--check` rebuilds the matrix from distinct core counts.
+        &["sweep", "--cores", "2,2", "--scale", "tiny"],
+        &["figures", "--cores", "0", "fig3"],
+        &["figures", "--cores", "129", "--scale", "tiny", "fig3"],
+        &["ablation", "--cores", "0"],
+        &["conform", "--cores", "0"],
+        // The two-thread family needs two cores.
+        &["check", "--cores", "0"],
+        &["check", "--cores", "1"],
         // A misspelled scale.
         &["figures", "--scale", "tnyi", "fig2"],
         // An unknown oracle.
@@ -150,8 +156,6 @@ fn unknown_input_exits_two_with_the_usage_page() {
         &["sweep", "--check", "A.json", "--scale", "tiny"],
         &["figures"],
         &["litmus", "--iters", "many"],
-        // Inspecting a cache directory must not create it.
-        &["status", "--cache-dir", "missing"],
     ] {
         let out = tsocc(&dir, args);
         assert_eq!(out.status.code(), Some(2), "tsocc {args:?}");
@@ -192,24 +196,18 @@ fn sweep_artifact_round_trips_through_the_drift_check_and_drift_fails_it() {
         let write = tsocc(
             &dir,
             &[
-                "sweep",
-                "--no-cache",
-                "--jobs",
-                jobs,
-                "--cores",
-                "2",
-                "--scale",
-                "tiny",
-                "--out",
-                out,
+                "sweep", "--jobs", jobs, "--cores", "2", "--scale", "tiny", "--out", out,
             ],
         );
         assert_eq!(write.status.code(), Some(0), "{}", stderr(&write));
     }
-    assert!(
-        !dir.join(".tsocc-cache").exists(),
-        "--no-cache opened the cache"
-    );
+    // A write leaves its artifact and nothing else behind.
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    assert_eq!(written, ["A.json", "A2.json"]);
     let artifact = std::fs::read_to_string(dir.join("A.json")).unwrap();
     assert_eq!(
         artifact,

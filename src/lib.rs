@@ -14,10 +14,10 @@
 //! litmus tests). The evaluation harness, including the parallel sweep
 //! engine, lives in [`tsocc_bench`]; the conformance campaign engine
 //! (N-thread litmus generation, model-oracle checking, counterexample
-//! shrinking) lives in [`tsocc_conform`]. Sweep orchestration — the
-//! content-addressed result cache and the job executor — lives in
-//! [`tsocc_orch`], which also builds `tsocc`, the one command-line entry
-//! point (`cargo run --release -p tsocc-orch --bin tsocc -- --help`).
+//! shrinking) lives in [`tsocc_conform`]. The `tsocc-orch` package
+//! builds `tsocc`, the one command-line entry point
+//! (`cargo run --release -p tsocc-orch --bin tsocc -- --help`); it is
+//! a binary only, so nothing here re-exports it.
 
 pub use tsocc;
 pub use tsocc_bench;
@@ -29,7 +29,6 @@ pub use tsocc_mem;
 pub use tsocc_mesi;
 pub use tsocc_mesi_coarse;
 pub use tsocc_noc;
-pub use tsocc_orch;
 pub use tsocc_proto;
 pub use tsocc_protocols;
 pub use tsocc_sim;
