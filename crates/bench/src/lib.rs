@@ -9,12 +9,11 @@
 //! - [`figures`] renders Tables 1–3 and Figures 2–9 from one sweep
 //!   (`tsocc figures fig3`, `tsocc figures all`, …).
 //! - [`cli`] is the one flag parser every `tsocc` subcommand declares
-//!   its flags against; [`json`] and [`hang`] write (and read back) the
-//!   JSON reports.
+//!   its flags against; [`json`] writes (and reads back) the JSON
+//!   reports.
 
 pub mod cli;
 pub mod figures;
-pub mod hang;
 pub mod json;
 pub mod sweep;
 

@@ -932,7 +932,7 @@ mod tests {
         // Same-line store buffering: the machine must realize the full
         // TSO outcome set — including the relaxed [0,0] — through an
         // exhaustive DPOR run. (The naive comparison would take 50x+
-        // longer; `tsocc check --naive-cap` measures it.)
+        // longer; `tsocc check`'s reduction probe measures it.)
         let program = sb();
         let dpor = check_model(
             &Protocol::Mesi,

@@ -9,8 +9,9 @@
 //! reads `L1#c -> L2#home -> L1#c`, naming the blocked line on every
 //! edge.
 //!
-//! The report is plain data (no I/O here); `tsocc-bench` serializes it
-//! to JSON for CI artifacts.
+//! The report is plain data (no I/O here). The litmus runner
+//! (`tsocc_workloads::run_litmus`) returns it with a hung iteration's
+//! run error, and [`HangReport::summary`] renders it as one line.
 
 use tsocc_coherence::CtrlProbe;
 use tsocc_mem::LineAddr;
@@ -101,8 +102,8 @@ impl HangReport {
         l1.chain(l2).min()
     }
 
-    /// One-line human summary (the full structure is for the JSON
-    /// artifact).
+    /// One-line human summary (the full structure is for programmatic
+    /// checks such as [`HangReport::first_blocked_line`]).
     pub fn summary(&self) -> String {
         let mut s = format!(
             "hang at cycle {}: {} cores unfinished, {} busy controllers, \

@@ -63,18 +63,6 @@ pub struct MesiL1Config {
 }
 
 impl MesiL1Config {
-    /// The paper's Table 2 L1: 32 KiB, 4-way.
-    pub fn table2(id: usize, n_cores: usize, n_tiles: usize) -> Self {
-        MesiL1Config {
-            id,
-            n_cores,
-            n_tiles,
-            l2_banks: 1,
-            params: CacheParams::from_capacity(32 * 1024, 4),
-            issue_latency: 1,
-        }
-    }
-
     /// Builds the controller: a [`MesiL1Policy`] over a fresh chassis.
     pub fn build(self) -> MesiL1 {
         L1Ctl::assemble(

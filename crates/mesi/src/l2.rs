@@ -160,17 +160,6 @@ pub struct MesiL2Config {
 }
 
 impl MesiL2Config {
-    /// The paper's Table 2 tile: 1 MiB, 16-way, ~30-cycle access.
-    pub fn table2(tile: usize, n_cores: usize, n_mem: usize) -> Self {
-        MesiL2Config {
-            tile,
-            n_cores,
-            n_mem,
-            params: CacheParams::from_capacity(1024 * 1024, 16),
-            latency: 20,
-        }
-    }
-
     /// Builds the baseline full-sharing-vector tile.
     pub fn build(self) -> MesiL2 {
         self.build_with::<FullVector>(())

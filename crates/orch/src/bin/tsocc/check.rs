@@ -5,31 +5,31 @@
 //! ```text
 //! tsocc check [--budget-ms N] [--seed N] [--out PATH]
 //!             [--protocol NAME]... [--all-configs]
-//!             [--cores N] [--lines N] [--ops N]
-//!             [--naive-cap N] [--mutations]
+//!             [--cores N] [--lines 1|2] [--mutations]
 //! ```
 //!
-//! Defaults: 120 s budget, seed 0, 2 cores, a 1-line address pool,
-//! 2 ops per thread, the three protocol families (MESI, MESI-P2-G2,
-//! TSO-CC-4-basic), `CHECK_report.json`.
+//! Defaults: 120 s budget, seed 0, 2 cores, a 1-line address pool, the
+//! three protocol families (MESI, MESI-P2-G2, TSO-CC-4-basic),
+//! `CHECK_report.json`.
 //!
 //! Two modes:
 //!
 //! - **Clean check** (default): every two-thread program from the
-//!   systematic `{St x, St y, Ld x, Ld y, Fence}` family is enumerated
-//!   to exhaustion per protocol; any coherence-axiom violation,
-//!   non-TSO outcome, deadlock, or livelock fails the run. A reduction
-//!   probe re-checks the store-buffering program without DPOR (capped
-//!   at `--naive-cap` schedules) and reports `check_reduction` — the
-//!   schedule-count ratio naive/DPOR, a lower bound when the naive leg
-//!   hits its cap.
+//!   systematic `{St x, St y, Ld x, Ld y, Fence}` family at two ops per
+//!   thread (280 programs) is enumerated to exhaustion per protocol;
+//!   any coherence-axiom violation, non-TSO outcome, deadlock, or
+//!   livelock fails the run. A reduction probe re-checks the
+//!   store-buffering program without DPOR (capped at 200,000
+//!   schedules) and reports `check_reduction` — the schedule-count
+//!   ratio naive/DPOR, a lower bound when the naive leg hits its cap.
 //! - **`--mutations`**: the four-fault mutation leg
 //!   ([`tsocc_check::mutation_cases`] placed by `--seed`); every fault
 //!   must be caught and shrink to a re-verified minimal reproducer.
 //!
 //! Exit status: 1 if a clean-mode violation was found, a mutation
 //! escaped, or the budget expired before the run finished; 2 if
-//! `--cores` is below 2 or the checker rejects the configuration.
+//! `--cores` is below 2, `--lines` is neither 1 nor 2, or the checker
+//! rejects the configuration.
 
 use std::time::{Duration, Instant};
 
@@ -46,6 +46,12 @@ use tsocc_protocols::Protocol;
 use tsocc_workloads::tso_model::{generate_two_thread_programs, ModelOp, ModelProgram};
 
 pub const ABOUT: &str = "exhaustive stateless DPOR model checking of the coherence protocols";
+
+/// Ops per thread in the systematic family: 280 two-thread programs.
+const OPS_PER_THREAD: usize = 2;
+
+/// Schedule cap of the reduction probe's no-DPOR leg.
+const NAIVE_CAP: u64 = 200_000;
 
 fn sb() -> ModelProgram {
     let st = |addr, value| ModelOp::Store { addr, value };
@@ -84,13 +90,7 @@ pub fn main(args: Vec<String>) {
         .campaign_flags()
         .protocol_flags()
         .opt("--cores", "N", "core count (threads beyond 2 stay idle)")
-        .opt("--lines", "N", "cache lines in the address pool (1 or 2)")
-        .opt("--ops", "N", "ops per thread in the systematic family")
-        .opt(
-            "--naive-cap",
-            "N",
-            "schedule cap for the no-DPOR reduction probe (0 disables)",
-        )
+        .opt("--lines", "1|2", "cache lines in the address pool")
         .switch("--mutations", "run the protocol-fault mutation leg instead")
         .parse(args);
 
@@ -103,8 +103,11 @@ pub fn main(args: Vec<String>) {
         ));
     }
     let lines = args.usize("--lines").unwrap_or(1);
-    let ops = args.usize("--ops").unwrap_or(2);
-    let naive_cap = args.u64("--naive-cap").unwrap_or(200_000);
+    if !(1..=2).contains(&lines) {
+        args.fail(format!(
+            "--lines {lines}: the address pool spans 1 or 2 lines"
+        ));
+    }
     let protocols = args.protocols(vec![
         Protocol::Mesi,
         Protocol::MesiCoarse(MesiCoarseConfig::new(2, 2)),
@@ -127,7 +130,7 @@ pub fn main(args: Vec<String>) {
 
     let opts = CheckOpts::default();
     let pool = pool_for_lines(lines);
-    let family = generate_two_thread_programs(ops);
+    let family = generate_two_thread_programs(OPS_PER_THREAD);
     let mut results: Vec<ProtocolResult> = Vec::new();
     for protocol in &protocols {
         let mut totals = CheckReport {
@@ -190,29 +193,25 @@ pub fn main(args: Vec<String>) {
         &opts,
     )
     .unwrap_or_else(|e| rejected(&protocols[0], e));
-    let naive = (naive_cap > 0).then(|| {
-        check_model(
-            &protocols[0],
-            FaultPlan::none(),
-            &probe_program,
-            &pool,
-            &CheckOpts {
-                naive: true,
-                max_schedules: naive_cap,
-                ..CheckOpts::default()
-            },
-        )
-        .unwrap_or_else(|e| rejected(&protocols[0], e))
-    });
-    let check_reduction = naive.as_ref().map(|n| dpor.reduction(n)).unwrap_or(0.0);
-    if let Some(n) = &naive {
-        eprintln!(
-            "reduction probe: DPOR {} vs naive {}{} schedules — {check_reduction:.1}x",
-            dpor.schedules,
-            n.schedules,
-            if n.complete { "" } else { " (capped)" },
-        );
-    }
+    let naive = check_model(
+        &protocols[0],
+        FaultPlan::none(),
+        &probe_program,
+        &pool,
+        &CheckOpts {
+            naive: true,
+            max_schedules: NAIVE_CAP,
+            ..CheckOpts::default()
+        },
+    )
+    .unwrap_or_else(|e| rejected(&protocols[0], e));
+    let check_reduction = dpor.reduction(&naive);
+    eprintln!(
+        "reduction probe: DPOR {} vs naive {}{} schedules — {check_reduction:.1}x",
+        dpor.schedules,
+        naive.schedules,
+        if naive.complete { "" } else { " (capped)" },
+    );
 
     let protocol_docs = results.iter().map(|r| {
         let violations = r.violation_programs.iter().map(|(program, kind)| {
@@ -237,11 +236,8 @@ pub fn main(args: Vec<String>) {
     let probe = json::Object::new()
         .str("program", "SB")
         .u64("dpor_schedules", dpor.schedules)
-        .u64("naive_schedules", naive.as_ref().map_or(0, |n| n.schedules))
-        .raw(
-            "naive_complete",
-            bool_json(naive.as_ref().is_some_and(|n| n.complete)),
-        )
+        .u64("naive_schedules", naive.schedules)
+        .raw("naive_complete", bool_json(naive.complete))
         .f64("check_reduction", check_reduction)
         .build();
     let all_clean = results
@@ -253,7 +249,7 @@ pub fn main(args: Vec<String>) {
         .u64("budget_ms", budget.as_millis() as u64)
         .u64("cores", cores as u64)
         .u64("lines", lines as u64)
-        .u64("ops_per_thread", ops as u64)
+        .u64("ops_per_thread", OPS_PER_THREAD as u64)
         .raw("pool", json::array(pool.iter().map(u64::to_string)))
         .raw("protocols", json::array(protocol_docs))
         .raw("reduction_probe", probe)

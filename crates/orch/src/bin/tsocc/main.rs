@@ -7,12 +7,13 @@
 //! One module per subcommand: `sweep` (the committed sweep artifact and
 //! its drift check), `figures` and `ablation` (the paper's tables,
 //! figures and §4.2 design-space sweeps), `litmus` (§4.3), and
-//! `conform`, `check` and `faults` (the conformance, model-checking and
-//! fault-injection campaigns). Every subcommand parses its flags
-//! through [`tsocc_bench::cli`]: `tsocc <subcommand> --help` lists
-//! them, and an unknown flag, a malformed value or a `--cores` value
-//! the subcommand cannot honour exits 2 with the usage page before
-//! anything runs.
+//! `conform` and `check` (the conformance and model-checking
+//! campaigns). The oracles' own self-tests, such as the fault-injection
+//! matrix, are tier-1 tests, not subcommands. Every subcommand parses
+//! its flags through [`tsocc_bench::cli`]: `tsocc <subcommand> --help`
+//! lists them, and an unknown flag, a malformed value or a `--cores`
+//! value the subcommand cannot honour exits 2 with the usage page
+//! before anything runs.
 
 use tsocc_bench::cli::ParsedArgs;
 use tsocc_bench::sweep::SweepPoint;
@@ -20,7 +21,6 @@ use tsocc_bench::sweep::SweepPoint;
 mod ablation;
 mod check;
 mod conform;
-mod faults;
 mod figures;
 mod litmus;
 mod sweep;
@@ -30,14 +30,13 @@ mod sweep;
 type Run = fn(Vec<String>);
 
 /// Every subcommand: its name, its one-line description, its entry.
-const SUBCOMMANDS: [(&str, &str, Run); 7] = [
+const SUBCOMMANDS: [(&str, &str, Run); 6] = [
     ("sweep", sweep::ABOUT, sweep::main),
     ("figures", figures::ABOUT, figures::main),
     ("ablation", ablation::ABOUT, ablation::main),
     ("litmus", litmus::ABOUT, litmus::main),
     ("conform", conform::ABOUT, conform::main),
     ("check", check::ABOUT, check::main),
-    ("faults", faults::ABOUT, faults::main),
 ];
 
 /// Builds every point's machine through the fallible builder before

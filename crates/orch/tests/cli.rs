@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Every subcommand with exactly the flags its help page must list
 /// (`--help` itself aside).
-const SURFACE: [(&str, &[&str]); 7] = [
+const SURFACE: [(&str, &[&str]); 6] = [
     (
         "sweep",
         &["--jobs", "--check", "--cores", "--scale", "--seed", "--out"],
@@ -30,7 +30,6 @@ const SURFACE: [(&str, &[&str]); 7] = [
             "--max-programs",
             "--cores",
             "--iters",
-            "--oracle",
         ],
     ),
     (
@@ -43,12 +42,9 @@ const SURFACE: [(&str, &[&str]); 7] = [
             "--all-configs",
             "--cores",
             "--lines",
-            "--ops",
-            "--naive-cap",
             "--mutations",
         ],
     ),
-    ("faults", &["--budget-ms", "--seed", "--out", "--iters"]),
 ];
 
 /// A fresh scratch directory, so nothing a command writes lands in the
@@ -114,7 +110,7 @@ fn every_help_page_exits_zero_and_lists_exactly_its_flags() {
         assert_eq!(listed, want, "tsocc {name} --help:\n{}", stdout(&out));
         total += flags.len();
     }
-    assert_eq!(total, 39, "the whole flag surface");
+    assert_eq!(total, 32, "the whole flag surface");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -123,7 +119,10 @@ fn unknown_input_exits_two_with_the_usage_page() {
     let dir = tmp_dir();
     let no_subcommand = tsocc(&dir, &[]);
     assert_eq!(no_subcommand.status.code(), Some(2));
-    for name in ["orchestrate", "status"] {
+    // The fault matrix is a tier-1 test
+    // (`fault_matrix_pins_the_oracle_that_catches_each_leg`), not a
+    // subcommand.
+    for name in ["orchestrate", "status", "faults"] {
         let unknown = tsocc(&dir, &[name]);
         assert_eq!(unknown.status.code(), Some(2), "tsocc {name}");
         assert!(stderr(&unknown).contains("usage: tsocc <subcommand>"));
@@ -150,8 +149,17 @@ fn unknown_input_exits_two_with_the_usage_page() {
         &["check", "--cores", "1"],
         // A misspelled scale.
         &["figures", "--scale", "tnyi", "fig2"],
-        // An unknown oracle.
-        &["conform", "--oracle", "foo"],
+        // The oracle is always TSO; the SC self-test is a tier-1 test.
+        &["conform", "--oracle", "sc"],
+        // The family and the reduction probe's cap are constants.
+        &["check", "--ops", "2"],
+        &["check", "--naive-cap", "5"],
+        // The checker's address pools span one or two lines.
+        &["check", "--lines", "0"],
+        &["check", "--lines", "3"],
+        // Zero iterations would check nothing.
+        &["litmus", "--iters", "0"],
+        &["conform", "--iters", "0"],
         // The drift check takes its matrix from the artifact.
         &["sweep", "--check", "A.json", "--scale", "tiny"],
         &["figures"],
@@ -176,6 +184,33 @@ fn unknown_input_exits_two_with_the_usage_page() {
     );
     // Nothing ran, so nothing was written.
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_conform_run_that_checks_no_program_fails() {
+    let dir = tmp_dir();
+    let out = tsocc(
+        &dir,
+        &[
+            "conform",
+            "--budget-ms",
+            "0",
+            "--min-programs",
+            "0",
+            "--out",
+            "C.json",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("no program was checked"),
+        "{}",
+        stderr(&out)
+    );
+    // The report is still written, and says so.
+    let report = std::fs::read_to_string(dir.join("C.json")).unwrap();
+    assert!(report.contains("\"programs_checked\": 0,"), "{report}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

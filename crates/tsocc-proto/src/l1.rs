@@ -74,19 +74,6 @@ pub struct TsoCcL1Config {
 }
 
 impl TsoCcL1Config {
-    /// The paper's Table 2 L1 with the given protocol parameters.
-    pub fn table2(id: usize, n_cores: usize, n_tiles: usize, proto: TsoCcConfig) -> Self {
-        TsoCcL1Config {
-            id,
-            n_cores,
-            n_tiles,
-            l2_banks: 1,
-            params: CacheParams::from_capacity(32 * 1024, 4),
-            issue_latency: 1,
-            proto,
-        }
-    }
-
     /// Builds the controller: a [`TsoCcL1Policy`] over a fresh chassis.
     pub fn build(self) -> TsoCcL1 {
         L1Ctl::assemble(

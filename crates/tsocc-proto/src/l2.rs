@@ -81,18 +81,6 @@ pub struct TsoCcL2Config {
 }
 
 impl TsoCcL2Config {
-    /// The paper's Table 2 tile with the given protocol parameters.
-    pub fn table2(tile: usize, n_cores: usize, n_mem: usize, proto: TsoCcConfig) -> Self {
-        TsoCcL2Config {
-            tile,
-            n_cores,
-            n_mem,
-            params: CacheParams::from_capacity(1024 * 1024, 16),
-            latency: 20,
-            proto,
-        }
-    }
-
     /// Builds the tile controller: a [`TsoCcL2Policy`] over a fresh
     /// chassis.
     pub fn build(self) -> TsoCcL2 {

@@ -42,7 +42,5 @@ pub mod sync;
 pub mod tso_model;
 
 pub use kernels::{Benchmark, Scale, Workload};
-pub use litmus::{
-    litmus_suite, run_litmus, run_litmus_faulted, FaultVerdict, LitmusReport, LitmusTest,
-};
+pub use litmus::{litmus_suite, run_litmus, LitmusReport, LitmusTest};
 pub use runner::run_workload;

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use tsocc::{FaultPlan, HangReport, System, SystemConfig};
+use tsocc::{FaultPlan, HangReport, RunError, System, SystemConfig};
 use tsocc_coherence::ProtocolHandle;
 use tsocc_isa::{Asm, Program, Reg};
 
@@ -577,19 +577,21 @@ pub fn litmus_suite() -> Vec<LitmusTest> {
 }
 
 /// Runs `test` `iterations` times under `protocol` with varying timing
-/// seeds; collects outcomes and checks the TSO verdicts.
+/// seeds and `faults` installed; collects outcomes and checks the TSO
+/// verdicts.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a run fails to terminate (a liveness violation — e.g. a
-/// spin that never observes its release would hit the deadlock
-/// detector).
+/// The first iteration that fails to terminate (a liveness violation,
+/// or a deadlock a fault plan injected on purpose): its run error and
+/// the machine's structured diagnosis of what it was waiting on.
 pub fn run_litmus(
     test: &LitmusTest,
     protocol: impl Into<ProtocolHandle>,
     iterations: u64,
     seed: u64,
-) -> LitmusReport {
+    faults: FaultPlan,
+) -> Result<LitmusReport, (RunError, Box<HangReport>)> {
     let protocol = protocol.into();
     let mut report = LitmusReport::default();
     let n = test.programs.len();
@@ -601,10 +603,11 @@ pub fn run_litmus(
             .build()
             .expect("valid config");
         cfg.seed = seed ^ (it.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        cfg.faults = faults;
         let mut sys = System::new(cfg, test.programs.clone());
-        sys.run(10_000_000).unwrap_or_else(|e| {
-            panic!("litmus {} on {}: {e}", test.name, protocol.protocol_name())
-        });
+        if let Err(e) = sys.run(10_000_000) {
+            return Err((e, Box::new(sys.hang_report())));
+        }
         let mut outcome = Vec::new();
         for (t, &n_obs) in test.observed.iter().enumerate() {
             for &obs in &OBS[..n_obs] {
@@ -622,88 +625,7 @@ pub fn run_litmus(
         }
         *report.outcomes.entry(outcome).or_insert(0) += 1;
     }
-    report
-}
-
-/// The verdict of one fault-injected litmus run: which oracle (if any)
-/// caught the mutation.
-#[derive(Clone, Debug)]
-pub enum FaultVerdict {
-    /// Every iteration terminated with no forbidden outcome — the
-    /// injected fault (if any) escaped this test's oracles.
-    Clean,
-    /// Forbidden outcomes appeared: the TSO safety oracle caught it.
-    Forbidden {
-        /// Iterations whose outcome was forbidden.
-        count: u64,
-        /// Iterations executed.
-        iterations: u64,
-    },
-    /// A run failed to terminate: the liveness oracle (deadlock or
-    /// cycle-budget detector) caught it.
-    Hung {
-        /// The run error's display string.
-        error: String,
-        /// Structured diagnosis of what the machine was waiting on.
-        report: Box<HangReport>,
-    },
-}
-
-impl FaultVerdict {
-    /// Whether any oracle flagged the run.
-    pub fn detected(&self) -> bool {
-        !matches!(self, FaultVerdict::Clean)
-    }
-}
-
-/// Like [`run_litmus`], but with a [`FaultPlan`] installed and a
-/// non-panicking verdict: a fault-injection campaign *expects* some
-/// runs to deadlock or produce forbidden outcomes — those are
-/// detections, not harness failures.
-pub fn run_litmus_faulted(
-    test: &LitmusTest,
-    protocol: impl Into<ProtocolHandle>,
-    iterations: u64,
-    seed: u64,
-    faults: FaultPlan,
-) -> FaultVerdict {
-    let protocol = protocol.into();
-    let n = test.programs.len();
-    let mut forbidden = 0u64;
-    for it in 0..iterations {
-        let mut cfg = SystemConfig::builder()
-            .small()
-            .cores(n.max(2))
-            .protocol(protocol.clone())
-            .build()
-            .expect("valid config");
-        cfg.seed = seed ^ (it.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        cfg.faults = faults;
-        let mut sys = System::new(cfg, test.programs.clone());
-        if let Err(e) = sys.run(10_000_000) {
-            return FaultVerdict::Hung {
-                error: e.to_string(),
-                report: Box::new(sys.hang_report()),
-            };
-        }
-        let mut outcome = Vec::new();
-        for (t, &n_obs) in test.observed.iter().enumerate() {
-            for &obs in &OBS[..n_obs] {
-                outcome.push(sys.core(t).thread().reg(obs));
-            }
-        }
-        if (test.forbidden)(&outcome) {
-            forbidden += 1;
-        }
-    }
-    if forbidden > 0 {
-        FaultVerdict::Forbidden {
-            count: forbidden,
-            iterations,
-        }
-    } else {
-        FaultVerdict::Clean
-    }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -724,7 +646,14 @@ mod tests {
     #[test]
     fn mp_passes_on_default_tsocc() {
         let t = mp();
-        let report = run_litmus(&t, Protocol::TsoCc(Default::default()), 30, 7);
+        let report = run_litmus(
+            &t,
+            Protocol::TsoCc(Default::default()),
+            30,
+            7,
+            FaultPlan::none(),
+        )
+        .unwrap();
         assert!(report.passed(), "outcomes: {:?}", report.outcomes);
         assert_eq!(report.iterations, 30);
     }
@@ -734,7 +663,7 @@ mod tests {
         // The write buffer alone (even under eager MESI) must produce
         // the TSO-allowed 0,0 outcome at least once.
         let t = sb();
-        let report = run_litmus(&t, Protocol::Mesi, 40, 3);
+        let report = run_litmus(&t, Protocol::Mesi, 40, 3, FaultPlan::none()).unwrap();
         assert!(report.passed());
         assert!(
             report.relaxed_seen,

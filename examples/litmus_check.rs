@@ -10,6 +10,7 @@
 //! (The full sweep over all seven configurations is
 //! `cargo run --release -p tsocc-orch --bin tsocc -- litmus`.)
 
+use tsocc::FaultPlan;
 use tsocc_proto::TsoCcConfig;
 use tsocc_protocols::Protocol;
 use tsocc_workloads::{litmus_suite, run_litmus};
@@ -24,7 +25,8 @@ fn main() {
     for protocol in protocols {
         println!("== {} ==", protocol.name());
         for test in litmus_suite() {
-            let report = run_litmus(&test, protocol, iters, 0x5EED);
+            let report = run_litmus(&test, protocol, iters, 0x5EED, FaultPlan::none())
+                .unwrap_or_else(|(e, hang)| panic!("{} hung: {e}; {}", test.name, hang.summary()));
             let verdict = if report.passed() {
                 "ok"
             } else {

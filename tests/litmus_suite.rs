@@ -2,10 +2,24 @@
 //! configuration, plus a stress configuration with 4-bit timestamps
 //! that forces frequent timestamp resets and epoch wraparound.
 
+use tsocc::FaultPlan;
 use tsocc_mesi_coarse::MesiCoarseConfig;
 use tsocc_proto::{TsParams, TsoCcConfig};
 use tsocc_protocols::Protocol;
-use tsocc_workloads::{litmus_suite, run_litmus};
+use tsocc_workloads::{litmus_suite, run_litmus, LitmusReport, LitmusTest};
+
+/// [`run_litmus`] on the healthy simulator; a hung iteration fails the
+/// test with the machine's hang diagnosis.
+fn run(test: &LitmusTest, protocol: Protocol, iters: u64, seed: u64) -> LitmusReport {
+    run_litmus(test, protocol, iters, seed, FaultPlan::none()).unwrap_or_else(|(e, hang)| {
+        panic!(
+            "{} under {} hung: {e}; {}",
+            test.name,
+            protocol.name(),
+            hang.summary()
+        )
+    })
+}
 
 fn stress_configs() -> Vec<Protocol> {
     let mut configs = Protocol::sweep_configs();
@@ -38,7 +52,7 @@ fn no_forbidden_outcomes_under_any_configuration() {
     let iters = 25;
     for protocol in stress_configs() {
         for test in litmus_suite() {
-            let report = run_litmus(&test, protocol, iters, 0xFACE);
+            let report = run(&test, protocol, iters, 0xFACE);
             assert_eq!(
                 report.forbidden_count,
                 0,
@@ -63,7 +77,7 @@ fn store_buffer_relaxation_is_visible() {
         Protocol::TsoCc(TsoCcConfig::realistic(12, 3)),
         Protocol::TsoCc(TsoCcConfig::basic()),
     ] {
-        let report = run_litmus(sb, protocol, 60, 0xAB);
+        let report = run(sb, protocol, 60, 0xAB);
         assert!(
             report.relaxed_seen,
             "{}: SB never showed the relaxed [0,0] outcome: {:?}",
@@ -81,7 +95,7 @@ fn fences_restore_sequential_consistency_for_sb() {
         .find(|t| t.name == "SB+mfences")
         .expect("present");
     for protocol in Protocol::paper_configs() {
-        let report = run_litmus(sbf, protocol, 40, 0xCD);
+        let report = run(sbf, protocol, 40, 0xCD);
         assert!(report.passed(), "{}", protocol.name());
         // The [0,0] outcome must be absent entirely.
         assert!(
@@ -102,7 +116,7 @@ fn message_passing_liveness_with_spinning_consumer() {
         .find(|t| t.name == "MP+spin (Fig.1)")
         .expect("present");
     for protocol in stress_configs() {
-        let report = run_litmus(mp, protocol, 25, 0xEF);
+        let report = run(mp, protocol, 25, 0xEF);
         assert!(report.passed(), "{}", protocol.name());
         // Every iteration the consumer must have seen data = 7.
         for outcome in report.outcomes.keys() {

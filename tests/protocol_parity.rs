@@ -6,7 +6,7 @@
 //!
 //! [`ProtocolFactory`]: tsocc_coherence::ProtocolFactory
 
-use tsocc::{System, SystemConfig};
+use tsocc::{FaultPlan, System, SystemConfig};
 use tsocc_coherence::ProtocolHandle;
 use tsocc_isa::{Asm, Program, Reg};
 use tsocc_mem::Addr;
@@ -133,7 +133,14 @@ fn factories_agree_on_final_memory_state() {
 fn factories_agree_on_litmus_verdicts() {
     for (label, factory) in factories() {
         for test in litmus_suite() {
-            let report = run_litmus(&test, factory.clone(), 20, 0xDEC0DE);
+            let report = run_litmus(&test, factory.clone(), 20, 0xDEC0DE, FaultPlan::none())
+                .unwrap_or_else(|(e, hang)| {
+                    panic!(
+                        "{label}: litmus {} hung: {e}; {}",
+                        test.name,
+                        hang.summary()
+                    )
+                });
             assert!(
                 report.passed(),
                 "{label}: litmus {} saw a forbidden outcome: {:?}",
