@@ -104,9 +104,11 @@ pub struct System {
     wake: Cycle,
     /// Step generation (`steps` value) at which each L1 / L2 / memory
     /// controller last received a network message — or, for an L1, at
-    /// which its core last ticked (a tick may submit into the L1). A
-    /// step can thereby prove which cores, tiles and outboxes cannot
-    /// possibly act this cycle and skip their ticks and drains.
+    /// which its core last ticked (a tick may submit into the L1; the
+    /// thread-private instructions a tick runs ahead through never
+    /// touch it). A step can thereby prove which cores, tiles and
+    /// outboxes cannot possibly act this cycle and skip their ticks and
+    /// drains.
     l1_msg_gen: Vec<u64>,
     l2_msg_gen: Vec<u64>,
     mem_msg_gen: Vec<u64>,
@@ -342,7 +344,10 @@ impl System {
     ///   component is sampled after its last possible mutation in the
     ///   step (cores after phase 2, controller outboxes after their
     ///   phase-4 drain, the mesh after injection).
-    fn step(&mut self) -> bool {
+    ///
+    /// `stop` is the first cycle the run loop will not execute; cores
+    /// run ahead only through instructions that issue before it.
+    fn step(&mut self, stop: Cycle) -> bool {
         let now = self.now;
         self.steps += 1;
         let mut active = false;
@@ -368,7 +373,7 @@ impl System {
             if self.l1_msg_gen[i] == gen || core.next_event(now) <= now {
                 // The tick may submit into the L1, so the L1's cached
                 // wake/quiescence are stale from here on: re-stamp.
-                core.tick(now, l1.as_mut());
+                core.tick(now, stop, l1.as_mut());
                 self.l1_msg_gen[i] = gen;
             }
             if !core.is_done() {
@@ -518,7 +523,7 @@ impl System {
     /// a constant deadline, `t` itself, or `MAX`, so "cached sample
     /// `<= now`" and "fresh sample `<= now`" agree for every `now`
     /// after the sample point.
-    fn step_indexed(&mut self) -> bool {
+    fn step_indexed(&mut self, stop: Cycle) -> bool {
         let now = self.now;
         self.steps += 1;
         let gen = self.steps;
@@ -595,7 +600,7 @@ impl System {
             let i = i as usize;
             let core = &mut self.cores[i];
             if self.l1_msg_gen[i] == gen || core.next_event(now) <= now {
-                core.tick(now, self.l1s[i].as_mut());
+                core.tick(now, stop, self.l1s[i].as_mut());
                 self.l1_msg_gen[i] = gen;
             }
             let done = core.is_done();
@@ -816,12 +821,21 @@ impl System {
         }
     }
 
+    /// The first cycle a run loop will not execute, given its budget
+    /// and the cycle after its last active step: it stops at
+    /// `max_cycles` (timeout) or one deadlock window after the last
+    /// message moved. A core's run-ahead never passes it, so a failed
+    /// run's statistics are exactly those of the cycles it ran.
+    fn stop_cycle(max_cycles: u64, last_active: Cycle) -> Cycle {
+        Cycle::new(max_cycles).min(last_active.saturating_add(DEADLOCK_WINDOW + 1))
+    }
+
     /// The original cycle-by-cycle polling loop, kept as the
     /// determinism oracle for the event-driven scheduler.
     fn run_reference(&mut self, max_cycles: u64) -> Result<RunStats, RunError> {
         let mut last_active = self.now;
         while self.now.as_u64() < max_cycles {
-            let active = self.step();
+            let active = self.step(Self::stop_cycle(max_cycles, last_active));
             if active {
                 last_active = self.now;
             }
@@ -867,7 +881,7 @@ impl System {
             if self.now.as_u64() >= max_cycles {
                 return Err(RunError::Timeout { max_cycles });
             }
-            let active = self.step_indexed();
+            let active = self.step_indexed(Self::stop_cycle(max_cycles, last_active));
             if active {
                 last_active = self.now;
             }
@@ -876,10 +890,7 @@ impl System {
             }
             // Fast-forward over the idle window, stopping where the
             // reference loop would declare deadlock or run out of budget.
-            let target = self
-                .wake
-                .min(last_active.saturating_add(DEADLOCK_WINDOW + 1))
-                .min(Cycle::new(max_cycles));
+            let target = self.wake.min(Self::stop_cycle(max_cycles, last_active));
             if target > self.now {
                 self.now = target;
             }

@@ -308,6 +308,71 @@ fn timeout_reported_for_infinite_programs() {
     }
 }
 
+/// Runs `program` on core 0 of the 2-core `small` MESI machine under
+/// `stepper` with a budget of `max_cycles`, and returns the run's error
+/// with the machine's statistics after it.
+fn failed_run(program: &Program, stepper: Stepper, max_cycles: u64) -> (RunError, RunStats) {
+    let mut cfg = SystemConfig::builder()
+        .small()
+        .cores(2)
+        .protocol(Protocol::Mesi)
+        .build()
+        .expect("valid config");
+    cfg.stepper = stepper;
+    let mut sys = System::new(cfg, vec![program.clone()]);
+    let err = sys.run(max_cycles).expect_err("the program never halts");
+    (err, sys.collect_stats())
+}
+
+/// A failed run stops where the cycle-by-cycle machine stops: its
+/// statistics count exactly the instructions issued before the first
+/// cycle the run loop does not execute, under both steppers.
+#[test]
+fn failed_runs_count_only_the_cycles_they_ran() {
+    let load_loop = {
+        let mut a = Asm::new();
+        let top = a.new_label();
+        a.bind(top);
+        a.load_abs(Reg::R1, 0x4000);
+        a.jump(top);
+        a.finish()
+    };
+    let register_loop = {
+        let mut a = Asm::new();
+        let top = a.new_label();
+        a.bind(top);
+        a.addi(Reg::R1, Reg::R1, 1);
+        a.jump(top);
+        a.finish()
+    };
+    let timeout = RunError::Timeout { max_cycles: 5_000 };
+    // No message ever moves, so the register loop deadlocks one window
+    // after cycle 0 (core 1's empty program halts at once).
+    let deadlock = RunError::Deadlock {
+        stalled_at: 200_001,
+        cores_unfinished: 1,
+        busy_controllers: 0,
+        msgs_in_flight: 0,
+        first_blocked_line: None,
+    };
+    let cases = [
+        (&load_loop, 5_000, &timeout, 5_000, 3_314),
+        (&register_loop, 5_000, &timeout, 5_000, 5_001),
+        (&register_loop, 1_000_000, &deadlock, 200_001, 200_002),
+    ];
+    for (program, max_cycles, error, cycles, instructions) in cases {
+        for stepper in [Stepper::EventDriven, Stepper::Reference] {
+            let (err, stats) = failed_run(program, stepper, max_cycles);
+            assert_eq!(&err, error, "{stepper:?}");
+            assert_eq!(
+                (stats.cycles, stats.instructions),
+                (cycles, instructions),
+                "{stepper:?}: {err}"
+            );
+        }
+    }
+}
+
 #[test]
 #[should_panic]
 fn too_many_programs_panics() {

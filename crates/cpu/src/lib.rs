@@ -17,6 +17,20 @@
 //! - **fences** and **RMWs** drain the write buffer before executing;
 //!   RMWs are atomic at the L1.
 //!
+//! Timing is one instruction issue per cycle; a load or RMW that hits
+//! in the L1 stalls the thread for the hit latency, and `Delay` /
+//! `RandDelay` stall it for their cycle count. A [`Core::tick`] runs
+//! the thread up to its next externally visible action: after the
+//! instruction it issues, it also executes every following
+//! *thread-private* instruction (`Movi`, `Alu`, `Alui`, `Branch`,
+//! `Jump`, `Delay`, `RandDelay`, which touch only registers, the pc and
+//! the core's own PRNG) at the cycle it would have issued, and then
+//! wakes once, at the cycle the next memory operation, `Halt` or the
+//! end of the program issues. Nothing outside the core can observe the
+//! run-ahead, so every L1 submit, write-buffer push and
+//! [`Core::is_done`] change happens at the same cycle as under
+//! one-instruction-per-tick stepping.
+//!
 //! Substitution note (DESIGN.md §2): the paper's cores are simple
 //! out-of-order with a 40-entry ROB. The consistency-relevant behaviour
 //! of such a core is exactly the in-order-issue + store-buffer model
@@ -26,7 +40,7 @@
 use std::collections::VecDeque;
 
 use tsocc_coherence::{Completion, CoreOp, L1Controller, Submit};
-use tsocc_isa::{Effect, MemOp, Program, ThreadState};
+use tsocc_isa::{Effect, Instr, MemOp, Program, ThreadState};
 use tsocc_mem::Addr;
 use tsocc_sim::{Counter, Cycle, Histogram, Xoshiro256StarStar};
 
@@ -87,15 +101,42 @@ enum Pending {
     DrainForFence,
     /// Store stalled on a full write buffer.
     WbFull { addr: Addr, value: u64 },
-    /// Local compute until the given cycle.
-    DelayUntil(Cycle),
+    /// The next instruction issues at the given cycle: the one after an
+    /// L1 hit or a delay, or the first one a run-ahead left for its own
+    /// tick (a memory operation, `Halt`, the end of the program, or an
+    /// instruction issuing at or after the stop cycle).
+    IssueAt(Cycle),
+}
+
+/// The cycle at which the instruction after a `cycles`-cycle stall
+/// issues, when the stalling instruction issued at `at`. The stall
+/// ends at `at + cycles` but no earlier than the next cycle, and the
+/// next instruction issues one cycle after it ends.
+fn issue_after_stall(at: Cycle, cycles: u64) -> Cycle {
+    at + cycles.max(1) + 1
+}
+
+/// Whether `instr` touches only the thread's registers, its pc and the
+/// core's PRNG, so nothing outside the core can observe when it runs.
+fn is_thread_private(instr: &Instr) -> bool {
+    matches!(
+        instr,
+        Instr::Movi { .. }
+            | Instr::Alu { .. }
+            | Instr::Alui { .. }
+            | Instr::Branch { .. }
+            | Instr::Jump { .. }
+            | Instr::Delay { .. }
+            | Instr::RandDelay { .. }
+    )
 }
 
 /// One simulated core: thread state, write buffer and pipeline control.
 ///
-/// Drive it once per cycle with [`Core::tick`], passing the core's L1
-/// controller. The core is finished when [`Core::is_done`] — the thread
-/// has halted *and* the write buffer has fully drained.
+/// Drive it with [`Core::tick`] at every cycle [`Core::next_event`]
+/// names (or simply every cycle), passing the core's L1 controller and
+/// the run's stop cycle. The core is finished when [`Core::is_done`] —
+/// the thread has halted *and* the write buffer has fully drained.
 #[derive(Debug)]
 pub struct Core {
     id: usize,
@@ -160,7 +201,10 @@ impl Core {
     /// [`Core::tick`] could change machine state, assuming no L1
     /// completions arrive in between (message deliveries wake the
     /// system independently). Returns [`Cycle::MAX`] when the core is
-    /// finished or blocked purely on its memory system.
+    /// finished or blocked purely on its memory system. A thread that
+    /// is only stalled or computing wakes once, at the cycle its next
+    /// memory operation (or halt) issues: the run-ahead of the last
+    /// tick already executed the thread-private instructions before it.
     ///
     /// This is the event-driven scheduler's contract: every skipped
     /// cycle strictly before the returned value must be one where
@@ -192,7 +236,7 @@ impl Core {
                     now
                 }
             }
-            Pending::DelayUntil(t) => t.max(now),
+            Pending::IssueAt(t) => t.max(now),
             // Retries submit, and a full-buffer stall counts a stall
             // statistic, every cycle; neither may be skipped.
             Pending::Resubmit { .. } | Pending::WbFull { .. } => now,
@@ -217,8 +261,21 @@ impl Core {
             .map(|&(_, v)| v)
     }
 
-    /// Advances the core by one cycle against its L1.
-    pub fn tick(&mut self, now: Cycle, l1: &mut dyn L1Controller) {
+    /// Advances the core against its L1 at cycle `now`: collects L1
+    /// completions, offers the write-buffer head to the L1, issues the
+    /// instruction due at `now` (if any), and then runs ahead.
+    ///
+    /// The run-ahead executes each following thread-private instruction
+    /// at the cycle it issues under one-instruction-per-cycle timing,
+    /// up to the next memory operation, `Halt` or the end of the
+    /// program, which is left pending for the tick at its issue cycle
+    /// (see [`Core::next_event`]). `stop` is the first cycle the caller
+    /// will not tick — the run's cycle budget or deadlock horizon — and
+    /// no instruction issuing at or after it runs ahead, so the
+    /// statistics of a run that stops early count exactly the
+    /// instructions of the cycles it ran. Pass [`Cycle::MAX`] when
+    /// ticking without a stop cycle.
+    pub fn tick(&mut self, now: Cycle, stop: Cycle, l1: &mut dyn L1Controller) {
         // 1. Collect completions of outstanding L1 transactions into
         // the reusable scratch buffer (moved out for the loop so the
         // body may borrow `self`, moved back to keep its capacity).
@@ -269,9 +326,10 @@ impl Core {
         // 3. Advance the pipeline.
         match self.pending.clone() {
             Pending::WaitLoad { .. } | Pending::WaitRmw { .. } => {}
-            Pending::DelayUntil(t) => {
+            Pending::IssueAt(t) => {
                 if now >= t {
                     self.pending = Pending::None;
+                    self.execute_one(now, l1);
                 }
             }
             Pending::WbFull { addr, value } => {
@@ -307,6 +365,47 @@ impl Core {
                 }
             }
         }
+
+        // 4. Run ahead through thread-private instructions.
+        self.run_ahead(now, stop);
+    }
+
+    /// Executes every thread-private instruction that issues before
+    /// `stop`, each at its own issue cycle, starting with the next one
+    /// after the state `tick` left at `now`, and arms
+    /// [`Pending::IssueAt`] for the first instruction it does not run.
+    fn run_ahead(&mut self, now: Cycle, stop: Cycle) {
+        let mut issue = match self.pending {
+            // Nothing stalls the thread: its next instruction issues at
+            // the next cycle.
+            Pending::None if !self.thread.is_halted() => now + 1,
+            Pending::IssueAt(t) => t,
+            _ => return,
+        };
+        while issue < stop
+            && self
+                .program
+                .fetch(self.thread.pc())
+                .is_some_and(is_thread_private)
+        {
+            self.stats.instructions.inc();
+            issue = match self.thread.step(&self.program) {
+                Effect::Continue => issue + 1,
+                Effect::Delay(c) => issue_after_stall(issue, u64::from(c)),
+                Effect::RandDelay(max) => issue_after_stall(issue, self.rand_delay(max)),
+                other => unreachable!("core {}: {other:?} is not thread-private", self.id),
+            };
+            self.pending = Pending::IssueAt(issue);
+        }
+    }
+
+    /// Draws a `RandDelay` length in `[0, max]` from the core's PRNG.
+    fn rand_delay(&mut self, max: u32) -> u64 {
+        if max == 0 {
+            0
+        } else {
+            self.rng.range(0, u64::from(max) + 1)
+        }
     }
 
     fn execute_one(&mut self, now: Cycle, l1: &mut dyn L1Controller) {
@@ -314,15 +413,11 @@ impl Core {
         match self.thread.step(&self.program) {
             Effect::Continue | Effect::Halted => {}
             Effect::Delay(c) => {
-                self.pending = Pending::DelayUntil(now + c as u64);
+                self.pending = Pending::IssueAt(issue_after_stall(now, u64::from(c)));
             }
             Effect::RandDelay(max) => {
-                let d = if max == 0 {
-                    0
-                } else {
-                    self.rng.range(0, max as u64 + 1)
-                };
-                self.pending = Pending::DelayUntil(now + d);
+                let d = self.rand_delay(max);
+                self.pending = Pending::IssueAt(issue_after_stall(now, d));
             }
             Effect::Mem(MemOp::Load { addr }) => {
                 self.stats.loads.inc();
@@ -371,7 +466,7 @@ impl Core {
         match l1.submit(now, CoreOp::Load(addr)) {
             Submit::Hit(value) => {
                 self.thread.complete_load(value);
-                self.pending = Pending::DelayUntil(now + self.cfg.l1_hit_latency);
+                self.pending = Pending::IssueAt(issue_after_stall(now, self.cfg.l1_hit_latency));
             }
             Submit::Miss => {
                 self.pending = Pending::WaitLoad {
@@ -398,7 +493,7 @@ impl Core {
             Submit::Hit(old) => {
                 self.thread.complete_load(old);
                 self.stats.rmw_latency.record(self.cfg.l1_hit_latency);
-                self.pending = Pending::DelayUntil(now + self.cfg.l1_hit_latency);
+                self.pending = Pending::IssueAt(issue_after_stall(now, self.cfg.l1_hit_latency));
             }
             Submit::Miss => {
                 self.pending = Pending::WaitRmw { issued: now };

@@ -17,6 +17,8 @@ struct MockL1 {
     miss_latency: u64,
     inflight: VecDeque<(Cycle, Completion)>,
     log: Vec<CoreOp>,
+    /// The cycle of each `log` entry's submit.
+    log_at: Vec<Cycle>,
     stats: L1Stats,
     now: Cycle,
 }
@@ -28,6 +30,7 @@ impl MockL1 {
             miss_latency: 0,
             inflight: VecDeque::new(),
             log: Vec::new(),
+            log_at: Vec::new(),
             stats: L1Stats::default(),
             now: Cycle::ZERO,
         }
@@ -73,6 +76,7 @@ impl CacheController for MockL1 {
 
 impl L1Controller for MockL1 {
     fn submit(&mut self, now: Cycle, op: CoreOp) -> Submit {
+        self.log_at.push(now);
         if self.miss_latency == 0 || matches!(op, CoreOp::Fence) {
             Submit::Hit(self.perform(op))
         } else {
@@ -106,7 +110,7 @@ fn run(core: &mut Core, l1: &mut MockL1, max_cycles: u64) -> u64 {
     for t in 0..max_cycles {
         let now = Cycle::new(t);
         l1.tick(now);
-        core.tick(now, l1);
+        core.tick(now, Cycle::MAX, l1);
         if core.is_done() {
             return t;
         }
@@ -268,7 +272,7 @@ fn done_requires_drained_write_buffer() {
     // Run a few cycles: thread halts quickly but the store is in flight.
     for t in 0..10 {
         l1.tick(Cycle::new(t));
-        core.tick(Cycle::new(t), &mut l1);
+        core.tick(Cycle::new(t), Cycle::MAX, &mut l1);
     }
     assert!(core.thread().is_halted());
     assert!(!core.is_done(), "store still draining");
@@ -314,7 +318,7 @@ fn halted_core_stays_done() {
     run(&mut core, &mut l1, 100);
     assert!(core.is_done());
     assert_eq!(core.id(), 3);
-    core.tick(Cycle::new(999), &mut l1);
+    core.tick(Cycle::new(999), Cycle::MAX, &mut l1);
     assert!(core.is_done());
 }
 
@@ -347,7 +351,7 @@ fn next_event_while_blocked_on_load_is_never() {
     for t in 0..5 {
         let now = Cycle::new(t);
         l1.tick(now);
-        core.tick(now, &mut l1);
+        core.tick(now, Cycle::MAX, &mut l1);
     }
     assert!(!core.is_done());
     assert_eq!(
@@ -371,7 +375,7 @@ fn next_event_with_buffered_store_is_immediate() {
     for t in 0..4 {
         let now = Cycle::new(t);
         l1.tick(now);
-        core.tick(now, &mut l1);
+        core.tick(now, Cycle::MAX, &mut l1);
     }
     // One store is in flight at the L1 and one still sits in the
     // buffer; the buffered one submits as soon as the first completes,
@@ -395,34 +399,121 @@ fn skipping_to_next_event_matches_per_cycle_ticking() {
         a.halt();
         a.finish()
     };
-    let mut ref_core = Core::new(0, build(), CoreConfig::default(), 7);
-    let mut ref_l1 = MockL1::missy(40);
-    let done_ref = run(&mut ref_core, &mut ref_l1, 10_000);
+    // (program, L1 miss latency, whether the event-driven leg must tick
+    // fewer times than it executes instructions). The every-class
+    // program runs ahead through its loop and delays; the first one has
+    // no two thread-private instructions in a row.
+    let cases = [
+        (build(), 40, false),
+        (every_class_program(), 0, true),
+        (every_class_program(), 40, true),
+    ];
+    for (program, miss_latency, runs_ahead) in cases {
+        let mut ref_core = Core::new(0, program.clone(), CoreConfig::default(), 7);
+        let mut ref_l1 = MockL1::missy(miss_latency);
+        let done_ref = run(&mut ref_core, &mut ref_l1, 10_000);
 
-    let mut ev_core = Core::new(0, build(), CoreConfig::default(), 7);
-    let mut ev_l1 = MockL1::missy(40);
-    let mut ticked = 0u64;
-    let mut done_ev = None;
-    for t in 0..10_000u64 {
-        let now = Cycle::new(t);
-        // The MockL1's completion deadline stands in for the mesh wake.
-        let wake = ev_core.next_event(now).min(ev_l1.next_event());
-        if wake > now {
-            continue;
+        let mut ev_core = Core::new(0, program, CoreConfig::default(), 7);
+        let mut ev_l1 = MockL1::missy(miss_latency);
+        let mut ticked = 0u64;
+        let mut done_ev = None;
+        for t in 0..10_000u64 {
+            let now = Cycle::new(t);
+            // The MockL1's completion deadline stands in for the mesh wake.
+            let wake = ev_core.next_event(now).min(ev_l1.next_event());
+            if wake > now {
+                continue;
+            }
+            ev_l1.tick(now);
+            ev_core.tick(now, Cycle::MAX, &mut ev_l1);
+            ticked += 1;
+            if ev_core.is_done() {
+                done_ev = Some(t);
+                break;
+            }
         }
-        ev_l1.tick(now);
-        ev_core.tick(now, &mut ev_l1);
-        ticked += 1;
-        if ev_core.is_done() {
-            done_ev = Some(t);
-            break;
+        assert_eq!(done_ev, Some(done_ref), "event-driven timing must match");
+        assert!(ticked < done_ref, "some idle cycles must have been skipped");
+        assert_eq!(
+            ev_core.stats().instructions.get(),
+            ref_core.stats().instructions.get()
+        );
+        assert_eq!(ev_core.stats().loads.get(), ref_core.stats().loads.get());
+        assert_eq!(ev_l1.log_at, ref_l1.log_at, "same submit cycles");
+        if runs_ahead {
+            assert!(
+                ticked < ev_core.stats().instructions.get(),
+                "{ticked} ticks for {} instructions",
+                ev_core.stats().instructions.get()
+            );
         }
     }
-    assert_eq!(done_ev, Some(done_ref), "event-driven timing must match");
-    assert!(ticked < done_ref, "some idle cycles must have been skipped");
-    assert_eq!(
-        ev_core.stats().instructions.get(),
-        ref_core.stats().instructions.get()
-    );
-    assert_eq!(ev_core.stats().loads.get(), ref_core.stats().loads.get());
+}
+
+/// One program that exercises every instruction class the core
+/// distinguishes: register-only ALU work in a loop (`Movi`, `Alu`,
+/// `Alui`, a taken and a fall-through `Branch`, a `Jump`), delays of 0,
+/// 1 and 5 cycles, a random delay, a load, a load that forwards from
+/// the write buffer when the store before it is still buffered, a
+/// store, an RMW, a fence and a halt.
+fn every_class_program() -> Program {
+    let mut a = Asm::new();
+    a.movi(Reg::R1, 3);
+    let top = a.new_label();
+    a.bind(top);
+    a.add(Reg::R3, Reg::R3, Reg::R1);
+    a.subi(Reg::R1, Reg::R1, 1);
+    a.delay(0);
+    a.bne(Reg::R1, Reg::R0, top);
+    a.delay(1);
+    a.delay(5);
+    a.rand_delay(6);
+    a.load_abs(Reg::R4, 0x100);
+    a.addi(Reg::R4, Reg::R4, 1);
+    a.store_abs(Reg::R3, 0x140);
+    a.load_abs(Reg::R5, 0x140);
+    a.movi(Reg::R2, 2);
+    a.fetch_add(Reg::R6, Reg::R0, 0x180, Reg::R2);
+    let over = a.new_label();
+    a.jump(over);
+    a.halt();
+    a.bind(over);
+    a.rand_delay(0);
+    a.store_abs(Reg::R5, 0x1c0);
+    a.fence();
+    a.delay(5);
+    a.halt();
+    a.finish()
+}
+
+#[test]
+fn every_instruction_class_keeps_its_per_cycle_timing() {
+    // (L1, done cycle, core statistics, cycle of each L1 submit).
+    let cases: [(MockL1, u64, &str, &[u64]); 2] = [
+        (
+            MockL1::hit(),
+            55,
+            "CoreStats { instructions: Counter(28), loads: Counter(2), wb_forwards: Counter(0), \
+             stores: Counter(2), rmws: Counter(1), fences: Counter(1), wb_full_stalls: Counter(0), \
+             load_latency: Histogram { count: 0, sum: 0, min: None, max: None }, \
+             rmw_latency: Histogram { count: 1, sum: 3, min: Some(3), max: Some(3) } }",
+            &[27, 33, 33, 39, 47, 48],
+        ),
+        (
+            MockL1::missy(40),
+            200,
+            "CoreStats { instructions: Counter(28), loads: Counter(2), wb_forwards: Counter(1), \
+             stores: Counter(2), rmws: Counter(1), fences: Counter(1), wb_full_stalls: Counter(0), \
+             load_latency: Histogram { count: 1, sum: 40, min: Some(40), max: Some(40) }, \
+             rmw_latency: Histogram { count: 1, sum: 40, min: Some(40), max: Some(40) } }",
+            &[27, 69, 109, 153, 193],
+        ),
+    ];
+    for (mut l1, done, stats, submits) in cases {
+        let mut core = Core::new(0, every_class_program(), CoreConfig::default(), 5);
+        assert_eq!(run(&mut core, &mut l1, 10_000), done);
+        assert_eq!(format!("{:?}", core.stats()), stats);
+        let at: Vec<u64> = l1.log_at.iter().map(|c| c.as_u64()).collect();
+        assert_eq!(at, submits, "{:?}", l1.log);
+    }
 }

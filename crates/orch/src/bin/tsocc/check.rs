@@ -22,6 +22,8 @@
 //!   store-buffering program without DPOR (capped at 200,000
 //!   schedules) and reports `check_reduction` — the schedule-count
 //!   ratio naive/DPOR, a lower bound when the naive leg hits its cap.
+//!   A run whose budget expired skips the probe and reports
+//!   `"reduction_probe": null`.
 //! - **`--mutations`**: the four-fault mutation leg
 //!   ([`tsocc_check::mutation_cases`] placed by `--seed`); every fault
 //!   must be caught and shrink to a re-verified minimal reproducer.
@@ -183,36 +185,14 @@ pub fn main(args: Vec<String>) {
 
     // The reduction probe: same program, DPOR on vs off. Run on the
     // first protocol only — the ratio is a property of the explorer,
-    // not of the policy under test.
-    let probe_program = pad(sb(), cores);
-    let dpor = check_model(
-        &protocols[0],
-        FaultPlan::none(),
-        &probe_program,
-        &pool,
-        &opts,
-    )
-    .unwrap_or_else(|e| rejected(&protocols[0], e));
-    let naive = check_model(
-        &protocols[0],
-        FaultPlan::none(),
-        &probe_program,
-        &pool,
-        &CheckOpts {
-            naive: true,
-            max_schedules: NAIVE_CAP,
-            ..CheckOpts::default()
-        },
-    )
-    .unwrap_or_else(|e| rejected(&protocols[0], e));
-    let check_reduction = dpor.reduction(&naive);
-    eprintln!(
-        "reduction probe: DPOR {} vs naive {}{} schedules — {check_reduction:.1}x",
-        dpor.schedules,
-        naive.schedules,
-        if naive.complete { "" } else { " (capped)" },
-    );
-
+    // not of the policy under test. A run whose budget expired has
+    // already failed, so it spends no more time on the probe.
+    let probe = if results.iter().any(|r| r.budget_exhausted) {
+        eprintln!("budget expired: the reduction probe was skipped");
+        "null".to_string()
+    } else {
+        reduction_probe(&protocols[0], cores, &pool, &opts)
+    };
     let protocol_docs = results.iter().map(|r| {
         let violations = r.violation_programs.iter().map(|(program, kind)| {
             json::Object::new()
@@ -233,13 +213,6 @@ pub fn main(args: Vec<String>) {
             .raw("budget_exhausted", bool_json(r.budget_exhausted))
             .build()
     });
-    let probe = json::Object::new()
-        .str("program", "SB")
-        .u64("dpor_schedules", dpor.schedules)
-        .u64("naive_schedules", naive.schedules)
-        .raw("naive_complete", bool_json(naive.complete))
-        .f64("check_reduction", check_reduction)
-        .build();
     let all_clean = results
         .iter()
         .all(|r| r.report.violations.is_empty() && !r.budget_exhausted);
@@ -261,6 +234,42 @@ pub fn main(args: Vec<String>) {
     if !all_clean {
         std::process::exit(1);
     }
+}
+
+/// Checks the store-buffering program on `protocol` with and without
+/// DPOR (the naive leg capped at [`NAIVE_CAP`] schedules), reports the
+/// schedule counts on stderr and returns the report's
+/// `reduction_probe` object.
+fn reduction_probe(protocol: &Protocol, cores: usize, pool: &[u64], opts: &CheckOpts) -> String {
+    let probe_program = pad(sb(), cores);
+    let dpor = check_model(protocol, FaultPlan::none(), &probe_program, pool, opts)
+        .unwrap_or_else(|e| rejected(protocol, e));
+    let naive = check_model(
+        protocol,
+        FaultPlan::none(),
+        &probe_program,
+        pool,
+        &CheckOpts {
+            naive: true,
+            max_schedules: NAIVE_CAP,
+            ..CheckOpts::default()
+        },
+    )
+    .unwrap_or_else(|e| rejected(protocol, e));
+    let check_reduction = dpor.reduction(&naive);
+    eprintln!(
+        "reduction probe: DPOR {} vs naive {}{} schedules — {check_reduction:.1}x",
+        dpor.schedules,
+        naive.schedules,
+        if naive.complete { "" } else { " (capped)" },
+    );
+    json::Object::new()
+        .str("program", "SB")
+        .u64("dpor_schedules", dpor.schedules)
+        .u64("naive_schedules", naive.schedules)
+        .raw("naive_complete", bool_json(naive.complete))
+        .f64("check_reduction", check_reduction)
+        .build()
 }
 
 fn run_mutation_mode(

@@ -214,6 +214,22 @@ fn a_conform_run_that_checks_no_program_fails() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_check_run_whose_budget_expired_skips_the_reduction_probe() {
+    let dir = tmp_dir();
+    let out = tsocc(&dir, &["check", "--budget-ms", "0", "--out", "K.json"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        !stderr(&out).contains("reduction probe:"),
+        "{}",
+        stderr(&out)
+    );
+    let report = std::fs::read_to_string(dir.join("K.json")).unwrap();
+    assert!(report.contains("\"programs_checked\": 0,"), "{report}");
+    assert!(report.contains("\"reduction_probe\": null,"), "{report}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Writes `artifact` to `dir/name`, runs `tsocc sweep --check` on it
 /// and returns the exit code and stderr.
 fn run_check(dir: &Path, name: &str, artifact: &str) -> (Option<i32>, String) {
