@@ -35,8 +35,9 @@ impl std::error::Error for ConfigError {}
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Stepper {
     /// Indexed event queue: every component's wake deadline lives in a
-    /// radix heap and simulated time jumps straight to the minimum,
-    /// visiting only due-or-touched components. The default.
+    /// calendar queue (`tsocc_sim::WakeQueue`) and simulated time jumps
+    /// straight to the minimum, visiting only due-or-touched components.
+    /// The default.
     #[default]
     EventDriven,
     /// The original cycle-by-cycle polling stepper.

@@ -74,8 +74,10 @@ pub struct HangReport {
     /// L2 tiles with outstanding work (busy transaction chains, replay
     /// queues), ascending tile id.
     pub l2s: Vec<L2Hang>,
-    /// In-flight mesh messages, sorted by arrival cycle then
-    /// destination (a hung machine has few; a timeout may have many).
+    /// In-flight mesh messages, sorted by arrival cycle, then
+    /// destination, kind and line — every field, so the order does not
+    /// depend on how the mesh stores them (a hung machine has few; a
+    /// timeout may have many).
     pub in_flight: Vec<NetHang>,
     /// The wait-for graph: every derived edge, deterministic order.
     pub edges: Vec<WaitEdge>,

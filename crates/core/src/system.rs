@@ -705,7 +705,7 @@ impl System {
                 .send_with_delay(now, src, dst, vnet, flits, extra, nm);
         }
         self.outgoing = outgoing;
-        self.wake = Cycle::new(self.wake_queue.next_wake(next.as_u64()))
+        self.wake = Cycle::new(self.wake_queue.next_wake())
             .min(self.mesh.next_arrival().unwrap_or(Cycle::MAX));
 
         self.due_ids = due_ids;
@@ -805,7 +805,7 @@ impl System {
                 line: nm.msg.line(),
             })
             .collect();
-        in_flight.sort_unstable_by_key(|m| (m.at, m.dst, m.kind));
+        in_flight.sort_unstable_by_key(|m| (m.at, m.dst, m.kind, m.line));
         let shape = self.cfg.shape();
         let (edges, cycle) =
             crate::hang::wait_graph(self.cores.len(), &l1s, &l2s, |line| shape.home_tile(line));

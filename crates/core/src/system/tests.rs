@@ -311,6 +311,41 @@ fn timeout_reported_for_infinite_programs() {
 /// Runs `program` on core 0 of the 2-core `small` MESI machine under
 /// `stepper` with a budget of `max_cycles`, and returns the run's error
 /// with the machine's statistics after it.
+/// A hang report lists in-flight messages by every field. Cores 0 and
+/// 3 of the 2×2 machine miss on lines 9 and 5, both homed on tile 1,
+/// one hop from each over disjoint links: their two `GetS` tie on
+/// arrival cycle, destination and kind, and core 0's (line 9) was
+/// injected first. The report must still list line 5 first.
+#[test]
+fn hang_report_orders_in_flight_messages_by_every_field() {
+    let programs = [0x240u64, 0, 0, 0x140]
+        .into_iter()
+        .map(|addr| {
+            let mut a = Asm::new();
+            if addr != 0 {
+                a.load_abs(Reg::R1, addr);
+            }
+            a.halt();
+            a.finish()
+        })
+        .collect();
+    let cfg = SystemConfig::builder()
+        .small()
+        .cores(4)
+        .protocol(Protocol::Mesi)
+        .build()
+        .expect("valid config");
+    let mut sys = System::new(cfg, programs);
+    assert_eq!(sys.run(3).unwrap_err(), RunError::Timeout { max_cycles: 3 });
+    let get_s = |line| NetHang {
+        at: 4,
+        dst: 1,
+        kind: "GetS",
+        line: Some(LineAddr::new(line)),
+    };
+    assert_eq!(sys.hang_report().in_flight, vec![get_s(5), get_s(9)]);
+}
+
 fn failed_run(program: &Program, stepper: Stepper, max_cycles: u64) -> (RunError, RunStats) {
     let mut cfg = SystemConfig::builder()
         .small()
@@ -528,6 +563,65 @@ fn steppers_are_bit_identical_on_all_protocols() {
             ref_steps, ref_stats.cycles,
             "the reference stepper walks every cycle"
         );
+    }
+}
+
+/// Wakes armed further ahead than the calendar's window wait on its
+/// overflow list: two cores `Delay` 3,000 and 5,000 cycles between
+/// loads and stores, and core 1 first spins through short delays
+/// across both of core 0's long ones, so the ring is busy when core 0's
+/// overflowed wakes come due. The event-driven run must still match
+/// the reference stepper bit for bit.
+#[test]
+fn steppers_agree_across_delays_past_the_calendar_window() {
+    let (a, b, c) = (0x8000u64, 0x9040u64, 0xa080u64);
+    let programs = || {
+        let mut p0 = Asm::new();
+        p0.movi(Reg::R1, 11);
+        p0.store_abs(Reg::R1, a);
+        p0.delay(3_000);
+        p0.load_abs(Reg::R2, b);
+        p0.store_abs(Reg::R2, c);
+        p0.delay(5_000);
+        p0.load_abs(Reg::R3, a);
+        p0.addi(Reg::R3, Reg::R3, 1);
+        p0.store_abs(Reg::R3, b);
+        p0.halt();
+        let mut p1 = Asm::new();
+        let top = p1.new_label();
+        p1.movi(Reg::R4, 250);
+        p1.bind(top);
+        p1.load_abs(Reg::R2, a);
+        p1.store_abs(Reg::R4, c);
+        p1.delay(37);
+        p1.subi(Reg::R4, Reg::R4, 1);
+        p1.bne(Reg::R4, Reg::R0, top);
+        p1.delay(5_000);
+        p1.load_abs(Reg::R2, c);
+        p1.store_abs(Reg::R2, a);
+        p1.delay(3_000);
+        p1.load_abs(Reg::R3, b);
+        p1.halt();
+        vec![p0.finish(), p1.finish()]
+    };
+    for protocol in all_protocols() {
+        let run = |stepper: Stepper| {
+            let mut cfg = SystemConfig::builder()
+                .small()
+                .cores(2)
+                .protocol(protocol)
+                .build()
+                .expect("valid config");
+            cfg.stepper = stepper;
+            let mut sys = System::new(cfg, programs());
+            let stats = sys.run(2_000_000).unwrap();
+            (stats, sys.memory_image())
+        };
+        let (ev_stats, ev_mem) = run(Stepper::EventDriven);
+        let (ref_stats, ref_mem) = run(Stepper::Reference);
+        assert!(ev_stats.cycles > 16_000, "{}", protocol.name());
+        assert_eq!(ev_stats, ref_stats, "{}", protocol.name());
+        assert_eq!(ev_mem, ref_mem, "{}", protocol.name());
     }
 }
 

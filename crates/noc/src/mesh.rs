@@ -1,9 +1,11 @@
 //! Message timing, link contention and flit accounting.
+//!
+//! In-flight messages wait on a [`Calendar`] keyed by arrival cycle: a
+//! message is written once into the slot of its arrival cycle and moved
+//! out once at delivery. The calendar is FIFO within a cycle, so
+//! delivery order is arrival cycle, then injection order.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use tsocc_sim::{Counter, Cycle};
+use tsocc_sim::{Calendar, Counter, Cycle};
 
 use crate::topology::MeshTopology;
 use crate::VNet;
@@ -64,31 +66,6 @@ impl NocStats {
     }
 }
 
-#[derive(Debug)]
-struct Arrival<M> {
-    at: Cycle,
-    seq: u64,
-    dst: usize,
-    payload: M,
-}
-
-impl<M> PartialEq for Arrival<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Arrival<M> {}
-impl<M> PartialOrd for Arrival<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Arrival<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// The mesh network: injects messages, models per-link serialization and
 /// delivers payloads to destination routers in deterministic order.
 ///
@@ -107,8 +84,8 @@ pub struct Mesh<M> {
     /// links (one per direction), so the table is `nodes × 4 × vnets`
     /// entries — a direct index instead of hashing a 3-tuple per hop.
     link_busy: Vec<Cycle>,
-    in_flight: BinaryHeap<Reverse<Arrival<M>>>,
-    seq: u64,
+    /// `(dst, payload)` per message, keyed by arrival cycle.
+    in_flight: Calendar<(usize, M)>,
     stats: NocStats,
 }
 
@@ -122,8 +99,7 @@ impl<M> Mesh<M> {
             topo,
             cfg,
             link_busy: vec![Cycle::ZERO; topo.nodes() * LINK_DIRS * VNet::ALL.len()],
-            in_flight: BinaryHeap::new(),
-            seq: 0,
+            in_flight: Calendar::new(),
             stats: NocStats::default(),
         }
     }
@@ -163,7 +139,9 @@ impl<M> Mesh<M> {
 
     /// Injects a message of `flits` flits at router `src` destined for
     /// router `dst` at time `now`. The message becomes visible to
-    /// [`Mesh::deliver`] once its modelled latency has elapsed.
+    /// [`Mesh::deliver`] once its modelled latency has elapsed — or, if
+    /// that cycle was already delivered (a send dated before the last
+    /// delivery), at the first cycle after it.
     ///
     /// # Panics
     ///
@@ -229,13 +207,8 @@ impl<M> Mesh<M> {
                 from = to;
             }
         }
-        self.seq += 1;
-        self.in_flight.push(Reverse(Arrival {
-            at: t + extra_delay,
-            seq: self.seq,
-            dst,
-            payload,
-        }));
+        self.in_flight
+            .push((t + extra_delay).as_u64(), (dst, payload));
     }
 
     /// Drains every message whose arrival time is `<= now`, in arrival
@@ -250,13 +223,7 @@ impl<M> Mesh<M> {
     /// Like [`Mesh::deliver`], but appends into a caller-provided
     /// buffer so the per-cycle run loop can reuse one allocation.
     pub fn deliver_into(&mut self, now: Cycle, out: &mut Vec<(usize, M)>) {
-        while let Some(Reverse(head)) = self.in_flight.peek() {
-            if head.at > now {
-                break;
-            }
-            let Reverse(arr) = self.in_flight.pop().expect("peeked");
-            out.push((arr.dst, arr.payload));
-        }
+        self.in_flight.pop_due(now.as_u64(), |m| out.push(m));
     }
 
     /// Whether any message is still in flight.
@@ -267,7 +234,7 @@ impl<M> Mesh<M> {
     /// Earliest pending arrival time, if any (lets the driver fast-forward
     /// through quiescent periods).
     pub fn next_arrival(&self) -> Option<Cycle> {
-        self.in_flight.peek().map(|Reverse(a)| a.at)
+        self.in_flight.peek().map(|(at, _)| Cycle::new(at))
     }
 
     /// Number of messages still in flight.
@@ -276,12 +243,14 @@ impl<M> Mesh<M> {
     }
 
     /// Visits every in-flight message as `(arrival, dst, payload)`, in
-    /// unspecified (heap) order — callers wanting determinism sort by
-    /// arrival time. Used by hang diagnosis to snapshot the network.
+    /// unspecified order — callers wanting determinism sort by a key
+    /// that tells every message apart. The arrival is the cycle at
+    /// which [`Mesh::deliver`] will hand the message out. Used by hang
+    /// diagnosis to snapshot the network.
     pub fn in_flight_msgs(&self) -> impl Iterator<Item = (Cycle, usize, &M)> {
         self.in_flight
             .iter()
-            .map(|Reverse(a)| (a.at, a.dst, &a.payload))
+            .map(|(at, (dst, payload))| (Cycle::new(at), *dst, payload))
     }
 }
 

@@ -1,8 +1,10 @@
 //! Property tests of the mesh network: routing validity, message
-//! conservation, flit accounting and FIFO ordering per channel.
+//! conservation, flit accounting, FIFO ordering per channel, and
+//! delivery on the schedule the mesh advertises.
 
 use proptest::prelude::*;
 use tsocc_noc::{Mesh, MeshTopology, NocConfig, VNet};
+use tsocc_sim::calendar::WINDOW;
 use tsocc_sim::Cycle;
 
 fn drain(mesh: &mut Mesh<usize>) -> Vec<(u64, usize, usize)> {
@@ -21,8 +23,71 @@ fn drain(mesh: &mut Mesh<usize>) -> Vec<(u64, usize, usize)> {
     out
 }
 
+/// Delivers everything due at `now` and checks it against a snapshot
+/// of [`Mesh::in_flight_msgs`] taken just before: exactly the messages
+/// advertised at or before `now` come out, ordered by advertised cycle
+/// and, within a cycle, by injection order (message ids are injection
+/// indices). Returns the ids delivered.
+fn deliver_as_advertised(mesh: &mut Mesh<usize>, now: u64) -> Vec<usize> {
+    let snapshot: Vec<(u64, usize, usize)> = mesh
+        .in_flight_msgs()
+        .map(|(at, dst, &id)| (at.as_u64(), dst, id))
+        .collect();
+    assert_eq!(snapshot.len(), mesh.in_flight_len());
+    let mut want: Vec<(u64, usize, usize)> = snapshot
+        .into_iter()
+        .filter(|&(at, _, _)| at <= now)
+        .collect();
+    want.sort_unstable_by_key(|&(at, _, id)| (at, id));
+    let got = mesh.deliver(Cycle::new(now));
+    let want: Vec<(usize, usize)> = want.iter().map(|&(_, dst, id)| (dst, id)).collect();
+    assert_eq!(got, want, "deliveries at cycle {now}");
+    got.into_iter().map(|(_, id)| id).collect()
+}
+
+/// `send_with_delay` jitter: none, ordinary, or several calendar
+/// windows (the overflow path).
+fn extra_delay() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..1, 0u64..40, WINDOW - 4..4 * WINDOW]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random sends over random cycles, with deliveries between them,
+    /// then a drain that steps from one advertised arrival to the next:
+    /// every message comes out exactly once, at its advertised cycle,
+    /// in injection order within the cycle.
+    #[test]
+    fn delivery_follows_the_advertised_schedule(
+        sends in proptest::collection::vec(
+            ((0u64..12, 0usize..16, 0usize..16), (0usize..3, 1u32..6, extra_delay())),
+            1..150,
+        ),
+    ) {
+        let topo = MeshTopology::for_tiles(16);
+        let mut mesh: Mesh<usize> = Mesh::new(topo, NocConfig::default());
+        let mut now = 0u64;
+        let mut delivered = Vec::new();
+        for (id, &((dt, src, dst), (vnet, flits, extra))) in sends.iter().enumerate() {
+            if dt > 0 {
+                now += dt;
+                delivered.extend(deliver_as_advertised(&mut mesh, now));
+            }
+            mesh.send_with_delay(Cycle::new(now), src, dst, VNet::ALL[vnet], flits, extra, id);
+        }
+        while let Some(next) = mesh.next_arrival() {
+            let next = next.as_u64();
+            let first = mesh.in_flight_msgs().map(|(at, _, _)| at.as_u64()).min();
+            prop_assert_eq!(Some(next), first, "next_arrival is the earliest advertised cycle");
+            prop_assert!(next > now, "arrival {} not after cycle {}", next, now);
+            now = next;
+            delivered.extend(deliver_as_advertised(&mut mesh, now));
+        }
+        prop_assert!(mesh.is_idle());
+        delivered.sort_unstable();
+        prop_assert_eq!(delivered, (0..sends.len()).collect::<Vec<_>>());
+    }
 
     #[test]
     fn routes_are_minimal_and_contiguous(

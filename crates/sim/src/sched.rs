@@ -1,25 +1,22 @@
 //! An indexed pending-event queue for the event-driven scheduler.
 //!
-//! [`WakeQueue`] is a **radix heap** (a monotone priority queue bucketed
-//! by the highest bit in which a key differs from the queue's floor)
-//! over absolute wake cycles, with **lazy decrease-key**: re-arming a
+//! [`WakeQueue`] holds one absolute wake cycle per component id on a
+//! [`Calendar`] (a per-cycle ring of FIFO slots, see
+//! [`crate::calendar`]), with **lazy decrease-key**: re-arming a
 //! component's wake bumps a per-component generation stamp instead of
 //! searching for the stale entry, and stale entries are skipped (and
-//! counted) when they surface. Both operations are O(1) amortized in
-//! the monotone access pattern of a discrete-event simulation, so
-//! picking the next event no longer costs a min-scan over every
-//! component in the machine.
+//! counted) when they surface. Pushing and popping cost O(1), and the
+//! next wake is the first occupied slot, so picking the next event no
+//! longer costs a min-scan over every component in the machine.
 //!
-//! # Monotonicity and the floor
+//! # The floor
 //!
-//! A radix heap requires keys pushed after a pop to be no smaller than
-//! the last popped key (the *floor*). The simulator's wake contract
-//! almost guarantees this — components re-arm for *future* cycles — but
-//! the queue does not trust it: [`WakeQueue::set`] clamps keys to the
-//! floor. The clamp is exact for the scheduler's purposes: the floor
-//! never passes `horizon` (the next cycle the run loop could possibly
-//! execute), so a clamped entry still fires no later than the cycle at
-//! which the reference semantics would have acted on it.
+//! [`WakeQueue::pop_due`] drains every slot up to `now` and moves the
+//! calendar's floor to `now + 1`; [`WakeQueue::set`] clamps keys below
+//! the floor up to it. The clamp is exact for the scheduler's purposes:
+//! `now + 1` is the next cycle the run loop could possibly execute, so
+//! a clamped entry still fires no later than the cycle at which the
+//! reference semantics would have acted on it.
 //!
 //! # Examples
 //!
@@ -33,9 +30,11 @@
 //! let mut due = Vec::new();
 //! q.pop_due(7, &mut due);
 //! assert_eq!(due, vec![1]);
-//! assert_eq!(q.next_wake(8), 10);
+//! assert_eq!(q.next_wake(), 10);
 //! assert_eq!(q.stats().stale_skips, 1);
 //! ```
+
+use crate::Calendar;
 
 /// Scheduler counters, reported per run in the system's `RunStats`.
 /// They stay out of the sweep artifact, which holds simulated outcomes
@@ -56,14 +55,9 @@ pub struct SchedStats {
 
 #[derive(Clone, Copy, Debug)]
 struct Entry {
-    key: u64,
     id: u32,
     gen: u32,
 }
-
-/// Number of radix buckets: one per possible highest-differing-bit
-/// position of a `u64` key, plus bucket 0 for keys equal to the floor.
-const BUCKETS: usize = 65;
 
 /// A monotone indexed min-queue of absolute wake cycles, one slot per
 /// component id, with generation-stamped lazy invalidation.
@@ -71,9 +65,7 @@ const BUCKETS: usize = 65;
 /// See the [module documentation](self) for the design.
 #[derive(Clone, Debug)]
 pub struct WakeQueue {
-    /// Lower bound on every live key; bucket 0 holds keys equal to it.
-    floor: u64,
-    buckets: Vec<Vec<Entry>>,
+    cal: Calendar<Entry>,
     /// Current generation per id; an entry is live iff its stamp
     /// matches. `set` bumps the stamp, so at most one live entry per id
     /// exists at any time.
@@ -85,8 +77,7 @@ impl WakeQueue {
     /// An empty queue for ids `0..n_ids` with floor 0.
     pub fn new(n_ids: usize) -> Self {
         WakeQueue {
-            floor: 0,
-            buckets: vec![Vec::new(); BUCKETS],
+            cal: Calendar::new(),
             gens: vec![0; n_ids],
             stats: SchedStats::default(),
         }
@@ -95,27 +86,15 @@ impl WakeQueue {
     /// Clears the queue for a fresh run: `n_ids` slots, the given
     /// floor, all counters zeroed.
     pub fn reset(&mut self, n_ids: usize, floor: u64) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
+        self.cal.reset(floor);
         self.gens.clear();
         self.gens.resize(n_ids, 0);
-        self.floor = floor;
         self.stats = SchedStats::default();
     }
 
     /// Run counters so far.
     pub fn stats(&self) -> SchedStats {
         self.stats
-    }
-
-    fn bucket_of(&self, key: u64) -> usize {
-        debug_assert!(key >= self.floor);
-        if key == self.floor {
-            0
-        } else {
-            64 - (key ^ self.floor).leading_zeros() as usize
-        }
     }
 
     /// Re-arms `id` to wake at `key` (lazy decrease/increase-key): any
@@ -128,13 +107,7 @@ impl WakeQueue {
         if key == u64::MAX {
             return;
         }
-        let key = key.max(self.floor);
-        let b = self.bucket_of(key);
-        self.buckets[b].push(Entry {
-            key,
-            id: id as u32,
-            gen,
-        });
+        self.cal.push(key, Entry { id: id as u32, gen });
         self.stats.pushes += 1;
     }
 
@@ -143,90 +116,33 @@ impl WakeQueue {
         self.set(id, u64::MAX);
     }
 
-    /// Locates the minimum live key, pruning stale entries encountered
-    /// along the way. Advances the floor to at most
-    /// `min(min_live_key, horizon)` — never past `horizon`, so keys
-    /// pushed at future steps (all `>= horizon`) are never clamped into
-    /// the future by an over-eager floor.
-    fn find_min(&mut self, horizon: u64) -> Option<u64> {
-        loop {
-            // Prune stale entries off bucket 0; any live entry there
-            // has the minimum possible key (== floor).
-            while let Some(e) = self.buckets[0].last() {
-                if self.gens[e.id as usize] == e.gen {
-                    return Some(self.floor);
-                }
-                self.buckets[0].pop();
-                self.stats.stale_skips += 1;
-            }
-            let b = (1..BUCKETS).find(|&b| !self.buckets[b].is_empty())?;
-            let mut bucket = std::mem::take(&mut self.buckets[b]);
-            let before = bucket.len();
-            let gens = &self.gens;
-            bucket.retain(|e| gens[e.id as usize] == e.gen);
-            self.stats.stale_skips += (before - bucket.len()) as u64;
-            if bucket.is_empty() {
-                self.buckets[b] = bucket;
-                continue;
-            }
-            let min = bucket.iter().map(|e| e.key).min().unwrap();
-            let new_floor = min.min(horizon);
-            if new_floor > self.floor {
-                // Re-bucket relative to the advanced floor; when the
-                // floor reaches `min`, the minimum lands in bucket 0
-                // (strictly lower buckets: the radix-heap amortization).
-                self.floor = new_floor;
-                for e in bucket.drain(..) {
-                    let nb = self.bucket_of(e.key);
-                    self.buckets[nb].push(e);
-                }
-                // An entry may re-bucket into `b` itself when the
-                // horizon capped the floor below the minimum key; only
-                // hand the drained scratch back if `b` stayed empty.
-                if self.buckets[b].is_empty() {
-                    self.buckets[b] = bucket;
-                }
-                continue;
-            }
-            // Horizon already at the floor: report without moving.
-            self.buckets[b] = bucket;
-            return Some(min);
-        }
-    }
-
     /// Pops every live entry with key `<= now` into `out` (order
-    /// unspecified; callers sort or demultiplex by id class). Entries
-    /// for popped ids are consumed; the caller re-arms them via
-    /// [`WakeQueue::set`] after processing.
+    /// unspecified; callers sort or demultiplex by id class) and moves
+    /// the floor to `now + 1`. Entries for popped ids are consumed; the
+    /// caller re-arms them via [`WakeQueue::set`] after processing.
     pub fn pop_due(&mut self, now: u64, out: &mut Vec<u32>) {
-        loop {
-            let Some(min) = self.find_min(now.saturating_add(1)) else {
-                return;
-            };
-            if min > now {
-                return;
+        let (gens, stats) = (&self.gens, &mut self.stats);
+        self.cal.pop_due(now, |e| {
+            if gens[e.id as usize] == e.gen {
+                out.push(e.id);
+                stats.events_popped += 1;
+            } else {
+                stats.stale_skips += 1;
             }
-            // `min <= now < horizon`, so find_min advanced the floor to
-            // `min` and bucket 0 holds every minimum-key entry.
-            debug_assert_eq!(min, self.floor);
-            let mut b0 = std::mem::take(&mut self.buckets[0]);
-            for e in b0.drain(..) {
-                if self.gens[e.id as usize] == e.gen {
-                    out.push(e.id);
-                    self.stats.events_popped += 1;
-                } else {
-                    self.stats.stale_skips += 1;
-                }
-            }
-            self.buckets[0] = b0;
-        }
+        });
     }
 
-    /// The minimum pending wake cycle, or `u64::MAX` if none. `horizon`
-    /// caps how far the internal floor may advance — pass the next
-    /// cycle the caller could possibly execute (typically `now + 1`).
-    pub fn next_wake(&mut self, horizon: u64) -> u64 {
-        self.find_min(horizon).unwrap_or(u64::MAX)
+    /// The minimum pending wake cycle, or `u64::MAX` if none. Stale
+    /// entries ahead of the first live one are dropped on the way.
+    pub fn next_wake(&mut self) -> u64 {
+        while let Some((key, e)) = self.cal.peek() {
+            if self.gens[e.id as usize] == e.gen {
+                return key;
+            }
+            self.cal.pop();
+            self.stats.stale_skips += 1;
+        }
+        u64::MAX
     }
 }
 
@@ -247,12 +163,12 @@ mod tests {
         q.set(0, 30);
         q.set(1, 10);
         q.set(2, 20);
-        assert_eq!(q.next_wake(0), 10);
+        assert_eq!(q.next_wake(), 10);
         assert_eq!(drain_due(&mut q, 10), vec![1]);
         assert_eq!(drain_due(&mut q, 25), vec![2]);
         assert_eq!(drain_due(&mut q, 25), Vec::<u32>::new());
         assert_eq!(drain_due(&mut q, 30), vec![0]);
-        assert_eq!(q.next_wake(31), u64::MAX);
+        assert_eq!(q.next_wake(), u64::MAX);
     }
 
     #[test]
@@ -273,7 +189,7 @@ mod tests {
         q.set(0, 5);
         q.clear(0);
         assert_eq!(drain_due(&mut q, 100), Vec::<u32>::new());
-        assert_eq!(q.next_wake(101), u64::MAX);
+        assert_eq!(q.next_wake(), u64::MAX);
     }
 
     #[test]
@@ -281,7 +197,7 @@ mod tests {
         let mut q = WakeQueue::new(1);
         q.set(0, u64::MAX);
         assert_eq!(q.stats().pushes, 0);
-        assert_eq!(q.next_wake(1), u64::MAX);
+        assert_eq!(q.next_wake(), u64::MAX);
     }
 
     #[test]
@@ -307,14 +223,14 @@ mod tests {
     }
 
     #[test]
-    fn horizon_caps_floor_advance() {
+    fn next_wake_leaves_the_floor_in_place() {
         let mut q = WakeQueue::new(2);
         q.set(0, 500);
-        // Peek far ahead but cap the floor at 11.
-        assert_eq!(q.next_wake(11), 500);
-        // A later push below 500 but above the horizon must not clamp.
+        // Peek far ahead: the floor stays put.
+        assert_eq!(q.next_wake(), 500);
+        // A later push below 500 must not clamp.
         q.set(1, 60);
-        assert_eq!(q.next_wake(11), 60);
+        assert_eq!(q.next_wake(), 60);
         assert_eq!(drain_due(&mut q, 60), vec![1]);
         assert_eq!(drain_due(&mut q, 500), vec![0]);
     }
@@ -325,7 +241,7 @@ mod tests {
         q.set(0, 5);
         q.set(1, 6);
         q.reset(3, 4);
-        assert_eq!(q.next_wake(4), u64::MAX);
+        assert_eq!(q.next_wake(), u64::MAX);
         assert_eq!(q.stats(), SchedStats::default());
         q.set(2, 9);
         assert_eq!(drain_due(&mut q, 9), vec![2]);

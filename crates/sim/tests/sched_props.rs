@@ -12,12 +12,16 @@
 //!   clamped key is at most `prev_pop + 1 <= next_pop`, and clamping
 //!   never lowers a key. So `pop_due(now)` must return *precisely* the
 //!   model's due ids, every time — not just a superset or subset.
-//! - **`next_wake` is exact beyond the horizon, bounded within it.**
-//!   Keys at or past `now + 1` are never clamped (the floor trails the
-//!   horizon), so when the model minimum is `>= now + 1` the queue must
-//!   report it exactly. An already-due minimum may have been clamped
-//!   anywhere up to `now + 1`, so there the queue's answer need only
-//!   stay within `[model_min, now + 1]`.
+//! - **`next_wake` is exact beyond `now`, bounded up to it.** Keys at
+//!   or past `now + 1` are never clamped (the floor is at most
+//!   `now + 1`), so when the model minimum is `>= now + 1` the queue
+//!   must report it exactly. An already-due minimum may have been
+//!   clamped anywhere up to `now + 1`, so there the queue's answer need
+//!   only stay within `[model_min, now + 1]`.
+//! - **The overflow path is exercised.** Besides re-arms within 40
+//!   cycles, the ops re-arm several calendar windows ahead and pop
+//!   with jumps past a whole window, so entries wait on the overflow
+//!   list and migrate into the ring (or are drained straight from it).
 //! - **Counters account for every entry.** `pushes` equals the number
 //!   of finite `set`s, `events_popped` the total ids ever popped, and
 //!   every finite push is eventually popped or skipped as stale once
@@ -29,6 +33,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
+use tsocc_sim::calendar::WINDOW;
 use tsocc_sim::WakeQueue;
 
 /// Component-id space for the random campaigns. Small enough that ids
@@ -98,7 +103,9 @@ impl Model {
 }
 
 /// Strategy for one op, weighted toward re-arms (`Set` listed twice)
-/// since re-arm churn is the queue's hot path.
+/// since re-arm churn is the queue's hot path. The last two arms reach
+/// the calendar's overflow path: re-arms up to six windows ahead, and
+/// pops that jump past a whole window.
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0usize..N_IDS, 0u64..40).prop_map(|(id, dk)| Op::Set { id, dk }),
@@ -106,6 +113,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0usize..N_IDS, 1u64..20).prop_map(|(id, back)| Op::SetPast { id, back }),
         (0usize..N_IDS).prop_map(|id| Op::Clear { id }),
         (1u64..15).prop_map(|dt| Op::Pop { dt }),
+        (0usize..N_IDS, WINDOW - 8..6 * WINDOW).prop_map(|(id, dk)| Op::Set { id, dk }),
+        (WINDOW..3 * WINDOW).prop_map(|dt| Op::Pop { dt }),
     ]
 }
 
@@ -147,9 +156,9 @@ fn replay(ops: &[Op]) -> (WakeQueue, u64, u64, u64) {
                 total_popped += due.len() as u64;
             }
         }
-        // `next_wake` contract after every op: exact past the horizon,
-        // clamped no further than the horizon before it.
-        let nw = q.next_wake(now + 1);
+        // `next_wake` contract after every op: exact past `now`,
+        // clamped no further than `now + 1` before it.
+        let nw = q.next_wake();
         let want = m.min();
         if want > now {
             assert_eq!(nw, want, "step {step}: next_wake at now={now}");
@@ -182,11 +191,7 @@ fn replay(ops: &[Op]) -> (WakeQueue, u64, u64, u64) {
     want.sort_unstable();
     assert_eq!(due, want, "final drain at now={horizon}");
     total_popped += due.len() as u64;
-    assert_eq!(
-        q.next_wake(horizon + 1),
-        u64::MAX,
-        "queue not empty after drain"
-    );
+    assert_eq!(q.next_wake(), u64::MAX, "queue not empty after drain");
     assert_eq!(m.min(), u64::MAX, "model not empty after drain");
     (q, finite_sets, total_popped, horizon)
 }

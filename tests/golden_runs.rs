@@ -11,7 +11,9 @@
 //!
 //! [`RunStats`]: tsocc::RunStats
 
+use tsocc::System;
 use tsocc_bench::sweep::SweepPoint;
+use tsocc_mem::Addr;
 use tsocc_protocols::Protocol;
 use tsocc_workloads::{Benchmark, Scale};
 
@@ -66,6 +68,79 @@ fn every_kernel_matches_its_golden_run_stats() {
             if got != want {
                 mismatches.push(format!(
                     "{name} on {}: digest {got:#018x}, golden {want:#018x}",
+                    protocol.name()
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// (kernel, MESI, TSO-CC-4-12-3) host-side event-loop work of the same
+/// 32 runs, each `(System::steps_executed, sched.pushes,
+/// sched.events_popped)`, in `Benchmark::ALL` order.
+///
+/// The digests above cannot see the event loop: a queue that reported a
+/// stale entry's cycle as the next wake would execute extra empty steps
+/// and leave every `RunStats` field as it is. These counts pin the
+/// loop's work itself.
+const GOLDEN_HOST_WORK: [(&str, [u64; 3], [u64; 3]); 16] = [
+    ("blackscholes", [2101, 2704, 2522], [2179, 2772, 2576]),
+    ("canneal", [2015, 2081, 1917], [2110, 2055, 1908]),
+    ("dedup", [4126, 4922, 4683], [4037, 4741, 4514]),
+    ("fluidanimate", [4398, 6392, 5951], [4436, 5898, 5514]),
+    ("x264", [1767, 2428, 2158], [1718, 2368, 2272]),
+    ("fft", [2438, 3468, 3010], [2596, 3464, 3010]),
+    ("lu (cont.)", [4467, 7741, 7426], [5065, 7711, 7420]),
+    (
+        "lu (non-cont.)",
+        [18443, 31069, 29510],
+        [20006, 28369, 26743],
+    ),
+    ("radix", [4549, 5041, 4466], [4731, 5061, 4454]),
+    ("raytrace", [2642, 2315, 2129], [2708, 2386, 2190]),
+    ("water-nsq", [3848, 5023, 4717], [3791, 4651, 4352]),
+    ("bayes", [17722, 22178, 21021], [19908, 26719, 25822]),
+    ("genome", [23286, 26061, 24497], [25129, 32465, 31310]),
+    ("intruder", [15783, 22296, 21346], [17842, 26568, 25983]),
+    ("ssca2", [42584, 68775, 66318], [49892, 65052, 62935]),
+    ("vacation", [18404, 21210, 19953], [20232, 25076, 24061]),
+];
+
+#[test]
+fn every_kernel_keeps_its_event_loop_work() {
+    let protocols = ["MESI", "TSO-CC-4-12-3"].map(|name| Protocol::from_name(name).unwrap());
+    let mut mismatches = Vec::new();
+    for (bench, golden) in Benchmark::ALL.into_iter().zip(GOLDEN_HOST_WORK) {
+        let (name, mesi, tsocc) = golden;
+        assert_eq!(
+            bench.name(),
+            name,
+            "GOLDEN_HOST_WORK follows Benchmark::ALL"
+        );
+        for (protocol, want) in protocols.into_iter().zip([mesi, tsocc]) {
+            let point = SweepPoint {
+                bench,
+                protocol,
+                n_cores: 8,
+                scale: Scale::Tiny,
+            };
+            // The machine `SweepPoint::run` builds, kept to read its
+            // step count.
+            let workload = bench.build(point.n_cores, point.scale, point.seed(BASE_SEED));
+            let mut sys = System::new(point.system_config(BASE_SEED), workload.programs);
+            for &(addr, value) in &workload.init {
+                sys.write_word(Addr::new(addr), value);
+            }
+            let stats = sys.run(200_000_000).expect("golden runs complete");
+            let got = [
+                sys.steps_executed(),
+                stats.sched.pushes,
+                stats.sched.events_popped,
+            ];
+            if got != want {
+                mismatches.push(format!(
+                    "{name} on {}: {got:?}, golden {want:?}",
                     protocol.name()
                 ));
             }
