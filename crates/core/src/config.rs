@@ -24,14 +24,18 @@ impl std::error::Error for ConfigError {}
 
 /// Which run loop drives the machine.
 ///
-/// Both steppers execute the same per-cycle semantics and are
-/// **bit-identical** in every simulated outcome (cycles, messages,
-/// flits, statistics, final memory). The event-driven scheduler merely
-/// skips cycles in which no component can act; the reference stepper
-/// walks cycles one by one and is kept as the determinism oracle
+/// Both steppers run the one step and the one run loop of
+/// [`crate::System`] and are **bit-identical** in every simulated
+/// outcome (cycles, messages, flits, statistics, final memory). They
+/// differ only in what they skip: the event-driven stepper visits the
+/// components that are due or touched and jumps over cycles in which
+/// none can act; the reference stepper visits every component and
+/// skips no cycle. It is kept as the determinism oracle for those skips
 /// (`tests/event_driven_parity.rs` diffs the two on the 27 sweep points
 /// at 2, 4 and 8 cores; `tsocc sweep --check` on all 63 points of the
-/// committed artifact).
+/// committed artifact). The per-cycle phases themselves are shared, so
+/// stepper parity cannot see an error in them; golden digests check
+/// those (see the README's "Simulation engine").
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Stepper {
     /// Indexed event queue: every component's wake deadline lives in a
@@ -40,7 +44,8 @@ pub enum Stepper {
     /// The default.
     #[default]
     EventDriven,
-    /// The original cycle-by-cycle polling stepper.
+    /// The same step over every component, every cycle; the wake queue
+    /// stays untouched, so `RunStats::sched` reads zero.
     Reference,
 }
 

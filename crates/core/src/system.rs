@@ -27,20 +27,22 @@ pub enum RunError {
     /// No component made progress for a long time while cores were
     /// still unfinished: a protocol deadlock (this is a simulator bug
     /// if it ever fires — unless a fault plan injected one on purpose).
+    ///
+    /// The run loop reads every field from the machine at the cycle it
+    /// detects the deadlock; the counts and the blocked line equal
+    /// those of [`System::hang_report`] taken after the run.
     Deadlock {
         /// The cycle at which progress stopped.
         stalled_at: u64,
         /// How many cores were still running.
         cores_unfinished: usize,
         /// Controllers with outstanding work when progress stopped.
-        /// Filled in by [`System::run`] after the stepper reports the
-        /// deadlock (the steppers construct it as `0`).
         busy_controllers: usize,
-        /// Messages still in flight in the mesh (same post-hoc fill).
+        /// Messages still in flight in the mesh.
         msgs_in_flight: usize,
         /// The smallest blocked line address over every outstanding
-        /// MSHR, parked writeback and busy directory transaction (same
-        /// post-hoc fill) — the first place to look.
+        /// MSHR, parked writeback and busy directory transaction — the
+        /// first place to look.
         first_blocked_line: Option<LineAddr>,
     },
 }
@@ -74,6 +76,44 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+/// One component's entry in the run ledger. [`System`] indexes the
+/// ledger, its wake queue and the ids a step visits alike: cores
+/// `0..n`, then L1s, L2 tiles and memory controllers, so ascending ids
+/// visit the controllers in the mesh's injection order.
+#[derive(Clone, Copy, Debug)]
+struct LedgerEntry {
+    /// The step (`System::steps` value) at which a network message last
+    /// landed on the component — for an L1, also at which its core last
+    /// ticked (a tick may submit into the L1; the thread-private
+    /// instructions a tick runs ahead through never touch it). A step
+    /// can thereby prove which cores, tiles and outboxes cannot
+    /// possibly act this cycle and skip their ticks and drains.
+    touched: u64,
+    /// A controller's cached `next_event()`, valid while `touched`
+    /// proves the controller untouched since it was sampled (its wake
+    /// deadline only changes inside `handle_message`, `tick`, `submit`
+    /// or `drain_outbox`). Unused for a core, whose wake is read fresh.
+    wake: Cycle,
+    /// An unfinished core or a non-quiescent controller, as last
+    /// sampled (same validity rule).
+    busy: bool,
+}
+
+impl LedgerEntry {
+    /// Records a fresh sample of whether the component is busy, keeping
+    /// `count`, the number of busy entries, in step.
+    fn set_busy(&mut self, busy: bool, count: &mut usize) {
+        if busy != self.busy {
+            self.busy = busy;
+            if busy {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
+        }
+    }
+}
+
 /// The full simulated machine: cores + L1s + L2 tiles + memory
 /// controllers on a 2D mesh.
 ///
@@ -91,55 +131,23 @@ pub struct System {
     /// Scratch buffers reused by every `step` (no per-cycle allocation).
     arrivals: Vec<(usize, NetMsg)>,
     outgoing: Vec<NetMsg>,
-    /// Outstanding-work ledger, refreshed at the end of each executed
-    /// step, so [`System::is_finished`] is O(1) instead of re-scanning
-    /// every component per cycle.
-    cores_running: usize,
-    busy_controllers: usize,
+    /// The ledger ids a step visits, ascending: every id under
+    /// [`Stepper::Reference`] (built once per run), the due and touched
+    /// ones under [`Stepper::EventDriven`] (rebuilt by every step).
+    visit: Vec<u32>,
     /// Host-side count of actually executed steps (the event-driven
     /// scheduler executes far fewer steps than simulated cycles).
     steps: u64,
-    /// Earliest cycle any component can act on its own, maintained by
-    /// `step` for the event-driven run loop.
-    wake: Cycle,
-    /// Step generation (`steps` value) at which each L1 / L2 / memory
-    /// controller last received a network message — or, for an L1, at
-    /// which its core last ticked (a tick may submit into the L1; the
-    /// thread-private instructions a tick runs ahead through never
-    /// touch it). A step can thereby prove which cores, tiles and
-    /// outboxes cannot possibly act this cycle and skip their ticks and
-    /// drains.
-    l1_msg_gen: Vec<u64>,
-    l2_msg_gen: Vec<u64>,
-    mem_msg_gen: Vec<u64>,
-    /// Cached `next_event()` per controller, valid while the matching
-    /// `*_msg_gen` stamp proves the controller untouched since it was
-    /// sampled (a controller's wake deadline only changes inside
-    /// `handle_message`, `tick`, `submit` or `drain_outbox`).
-    l1_wake: Vec<Cycle>,
-    l2_wake: Vec<Cycle>,
-    mem_wake: Vec<Cycle>,
-    /// Cached `!is_quiescent()` per controller, same validity rule.
-    l1_busy: Vec<bool>,
-    l2_busy: Vec<bool>,
-    mem_busy: Vec<bool>,
-    /// The indexed pending-event queue behind [`System::step_indexed`]:
-    /// one slot per component (cores, then L1s, then L2 tiles, then
-    /// memory controllers), holding the same cached absolute wake
-    /// cycles as the `*_wake` vectors, so picking the next event is
-    /// amortized O(1) instead of a min-scan over every component.
+    /// Per-component run state, one [`LedgerEntry`] per id.
+    ledger: Vec<LedgerEntry>,
+    /// How many ledger entries are busy, so [`System::is_finished`] is
+    /// O(1) instead of re-scanning every component per cycle.
+    busy: usize,
+    /// The event-driven stepper's pending-event queue, one wake per
+    /// ledger id, so picking the next event is amortized O(1) instead of
+    /// a min-scan over every component. The reference stepper never
+    /// touches it.
     wake_queue: WakeQueue,
-    /// Cached `is_done()` per core, so `cores_running` updates
-    /// incrementally from only the cores a step actually ticks.
-    core_done: Vec<bool>,
-    /// Scratch id sets reused by every `step_indexed` (no per-step
-    /// allocation): queue pops, then per-class candidate lists.
-    due_ids: Vec<u32>,
-    cand_core: Vec<u32>,
-    drain_l1: Vec<u32>,
-    tick_l2: Vec<u32>,
-    drain_l2: Vec<u32>,
-    drain_mem: Vec<u32>,
 }
 
 impl System {
@@ -196,9 +204,16 @@ impl System {
             .map(|j| MemCtrl::new(j, MainMemory::new(), cfg.mem_latency))
             .collect();
         let mesh = Mesh::new(topo, cfg.noc);
-        let cores_running = cores.len();
-        let n_tiles = l2s.len();
-        let cfg_n_mem = mems.len();
+        // Until a run samples them, every core counts as unfinished.
+        let n_ids = 2 * cores.len() + l2s.len() + mems.len();
+        let ledger = (0..n_ids)
+            .map(|id| LedgerEntry {
+                touched: 0,
+                wake: Cycle::MAX,
+                busy: id < cores.len(),
+            })
+            .collect();
+        let busy = cores.len();
         Ok(System {
             cfg,
             topo,
@@ -211,27 +226,11 @@ impl System {
             trace: TraceSink::disabled(),
             arrivals: Vec::new(),
             outgoing: Vec::new(),
-            cores_running,
-            busy_controllers: 0,
+            visit: Vec::new(),
             steps: 0,
-            wake: Cycle::ZERO,
-            l1_msg_gen: vec![0; cores_running],
-            l2_msg_gen: vec![0; n_tiles],
-            mem_msg_gen: vec![0; cfg_n_mem],
-            l1_wake: vec![Cycle::MAX; cores_running],
-            l2_wake: vec![Cycle::MAX; n_tiles],
-            mem_wake: vec![Cycle::MAX; cfg_n_mem],
-            l1_busy: vec![false; cores_running],
-            l2_busy: vec![false; n_tiles],
-            mem_busy: vec![false; cfg_n_mem],
+            ledger,
+            busy,
             wake_queue: WakeQueue::new(0),
-            core_done: vec![false; cores_running],
-            due_ids: Vec::new(),
-            cand_core: Vec::new(),
-            drain_l1: Vec::new(),
-            tick_l2: Vec::new(),
-            drain_l2: Vec::new(),
-            drain_mem: Vec::new(),
         })
     }
 
@@ -309,388 +308,189 @@ impl System {
         }
     }
 
-    fn dispatch(&mut self, now: Cycle, nm: NetMsg) {
-        self.trace
-            .emit(now, || format!("{} -> {}: {:?}", nm.src, nm.dst, nm.msg));
-        match nm.dst {
-            Agent::L1(i) => {
-                self.l1s[i].handle_message(now, nm.src, nm.msg);
-                self.l1_msg_gen[i] = self.steps;
-            }
-            Agent::L2(i) => {
-                self.l2s[i].handle_message(now, nm.src, nm.msg);
-                self.l2_msg_gen[i] = self.steps;
-            }
-            Agent::Mem(j) => {
-                self.mems[j].handle_message(now, nm.src, nm.msg);
-                self.mem_msg_gen[j] = self.steps;
-            }
+    /// The ledger id of a message's destination.
+    fn id_of(&self, agent: Agent) -> usize {
+        let n = self.cores.len();
+        match agent {
+            Agent::L1(i) => n + i,
+            Agent::L2(i) => 2 * n + i,
+            Agent::Mem(j) => 2 * n + self.l2s.len() + j,
         }
     }
 
-    /// Advances the machine one cycle; returns whether any component
-    /// showed activity (message movement).
+    /// The controller with ledger id `id` (any id past the cores).
+    fn ctrl_mut(&mut self, id: usize) -> &mut dyn CacheController {
+        let n = self.cores.len();
+        let mem = 2 * n + self.l2s.len();
+        if id < 2 * n {
+            self.l1s[id - n].as_mut()
+        } else if id < mem {
+            self.l2s[id - 2 * n].as_mut()
+        } else {
+            &mut self.mems[id - mem]
+        }
+    }
+
+    /// Samples every component into the ledger — and, unless `every`
+    /// (the reference stepper), arms the wake queue with each one's
+    /// wake: one full scan at run start, so that no step needs one.
+    fn prime(&mut self, every: bool) {
+        let now = self.now;
+        let n = self.cores.len();
+        let n_ids = self.ledger.len();
+        if every {
+            self.visit = (0..n_ids as u32).collect();
+        } else {
+            self.wake_queue.reset(n_ids, now.as_u64());
+        }
+        for id in 0..n_ids {
+            let wake = if id < n {
+                let core = &self.cores[id];
+                self.ledger[id].busy = !core.is_done();
+                // Sampled at `now` (not `now + 1`) so cores due at the
+                // very first executed cycle are already in the queue.
+                core.next_event(now)
+            } else {
+                let ctrl = self.ctrl_mut(id);
+                let (wake, busy) = (ctrl.next_event(), !ctrl.is_quiescent());
+                self.ledger[id].wake = wake;
+                self.ledger[id].busy = busy;
+                wake
+            };
+            if !every {
+                self.wake_queue.set(id, wake.as_u64());
+            }
+        }
+        self.busy = self.ledger.iter().filter(|e| e.busy).count();
+    }
+
+    /// Advances the machine one cycle. Returns whether any component
+    /// showed activity (message movement), and the cycle the run loop
+    /// may jump to: the earliest at which any component can act on its
+    /// own — the next mesh arrival, the next outbox-ready deadline, or
+    /// the next self-driven core event — under the event-driven
+    /// stepper, and simply the next cycle under the reference one.
     ///
-    /// While running its phases this also maintains, for free (the
-    /// loops already touch every component):
-    /// - the outstanding-work ledger behind the O(1)
-    ///   [`System::is_finished`], and
-    /// - `self.wake`, the earliest cycle at which any component can act
-    ///   on its own — the next mesh arrival, the next outbox-ready
-    ///   deadline, or the next self-driven core event. Every simulated
-    ///   cycle strictly between `self.now` and `self.wake` is provably
-    ///   a no-op for every component, which is what lets the
-    ///   event-driven run loop skip those cycles bit-exactly. Each
-    ///   component is sampled after its last possible mutation in the
-    ///   step (cores after phase 2, controller outboxes after their
-    ///   phase-4 drain, the mesh after injection).
+    /// With `EVERY` (the reference stepper) the step visits every
+    /// component. Otherwise it visits only the components that are
+    /// **due** (their queued wake deadline arrived — popped from the
+    /// [`WakeQueue`]) or **touched** (a network message lands on them
+    /// this cycle), and re-arms each one it visits. Every component it
+    /// leaves out is untouched and not due, so it fails the phase
+    /// predicates below, under which a tick or drain would be a no-op.
+    /// The two modes thus produce bit-identical machines; the
+    /// event-driven step costs O(active components), not O(n).
+    ///
+    /// Equivalence of the core wake test deserves a note: the queue
+    /// holds `core.next_event(prev + 1)` sampled after the core's last
+    /// tick at `prev`, while the predicate compares
+    /// `core.next_event(now) <= now`. For an untouched core the two are
+    /// interchangeable — `next_event(t)` only ever returns a constant
+    /// deadline, `t` itself, or `MAX`, so "cached sample `<= now`" and
+    /// "fresh sample `<= now`" agree for every `now` after the sample
+    /// point.
     ///
     /// `stop` is the first cycle the run loop will not execute; cores
     /// run ahead only through instructions that issue before it.
-    fn step(&mut self, stop: Cycle) -> bool {
+    fn step<const EVERY: bool>(&mut self, stop: Cycle) -> (bool, Cycle) {
         let now = self.now;
         self.steps += 1;
-        let mut active = false;
-        let mut wake = Cycle::MAX;
+        let gen = self.steps;
+        let n = self.cores.len();
+        let mut visit = std::mem::take(&mut self.visit);
+        if !EVERY {
+            visit.clear();
+            self.wake_queue.pop_due(now.as_u64(), &mut visit);
+        }
 
-        // 1. Deliver arrived network messages.
+        // 1. Deliver arrived network messages, stamping each
+        // destination as touched.
         let mut arrivals = std::mem::take(&mut self.arrivals);
         self.mesh.deliver_into(now, &mut arrivals);
-        active |= !arrivals.is_empty();
+        let mut active = !arrivals.is_empty();
         for (_router, nm) in arrivals.drain(..) {
-            self.dispatch(now, nm);
+            self.trace
+                .emit(now, || format!("{} -> {}: {:?}", nm.src, nm.dst, nm.msg));
+            let id = self.id_of(nm.dst);
+            if !EVERY && self.ledger[id].touched != gen {
+                // A message at an L1 makes its core a candidate (the L1
+                // may have queued completions to pop), and through the
+                // core the L1 itself.
+                let cand = if id < 2 * n { id - n } else { id };
+                visit.push(cand as u32);
+            }
+            self.ctrl_mut(id).handle_message(now, nm.src, nm.msg);
+            self.ledger[id].touched = gen;
         }
         self.arrivals = arrivals;
+        if !EVERY {
+            // A candidate core may submit into its L1, so the L1 is a
+            // drain candidate too.
+            for k in 0..visit.len() {
+                if (visit[k] as usize) < n {
+                    visit.push(visit[k] + n as u32);
+                }
+            }
+            visit.sort_unstable();
+            visit.dedup();
+        }
+        let split = visit.partition_point(|&id| (id as usize) < n);
 
         // 2. Cores execute against their L1s. A core's tick is provably
         // a no-op — and is skipped — unless the core can act this cycle
         // (its own wake deadline has arrived) or its L1 just received a
         // message (which may have queued completions to pop).
-        let gen = self.steps;
         let next = now + 1;
-        let mut cores_running = 0;
-        for (i, (core, l1)) in self.cores.iter_mut().zip(self.l1s.iter_mut()).enumerate() {
-            if self.l1_msg_gen[i] == gen || core.next_event(now) <= now {
-                // The tick may submit into the L1, so the L1's cached
-                // wake/quiescence are stale from here on: re-stamp.
-                core.tick(now, stop, l1.as_mut());
-                self.l1_msg_gen[i] = gen;
-            }
-            if !core.is_done() {
-                cores_running += 1;
-            }
-            wake = wake.min(core.next_event(next));
-        }
-        self.cores_running = cores_running;
-
-        // 3. Tile controllers advance (queued-request replay). Replay
-        // entries only appear while handling a message, so a tile that
-        // received nothing this step has nothing to do.
-        for (i, l2) in self.l2s.iter_mut().enumerate() {
-            if self.l2_msg_gen[i] == gen {
-                l2.tick(now);
-            }
-        }
-
-        // 4. Inject ready outgoing messages into the mesh, draining
-        // every controller into one reusable scratch buffer. A
-        // controller untouched this step (no message handled, no core
-        // submit, no tick) whose cached wake deadline has not arrived
-        // provably has nothing ready — its outbox, quiescence and
-        // next_event are exactly what they were when last sampled — so
-        // the drain and its virtual calls are skipped and the cached
-        // values are reused.
-        let mut outgoing = std::mem::take(&mut self.outgoing);
-        let mut busy_controllers = 0;
-        for (i, l1) in self.l1s.iter_mut().enumerate() {
-            if self.l1_msg_gen[i] == gen || self.l1_wake[i] <= now {
-                l1.drain_outbox(now, &mut outgoing);
-                self.l1_busy[i] = !l1.is_quiescent();
-                self.l1_wake[i] = l1.next_event();
-            }
-            busy_controllers += usize::from(self.l1_busy[i]);
-            wake = wake.min(self.l1_wake[i]);
-        }
-        for (i, l2) in self.l2s.iter_mut().enumerate() {
-            if self.l2_msg_gen[i] == gen || self.l2_wake[i] <= now {
-                l2.drain_outbox(now, &mut outgoing);
-                self.l2_busy[i] = !l2.is_quiescent();
-                self.l2_wake[i] = l2.next_event();
-            }
-            busy_controllers += usize::from(self.l2_busy[i]);
-            wake = wake.min(self.l2_wake[i]);
-        }
-        for (i, mem) in self.mems.iter_mut().enumerate() {
-            if self.mem_msg_gen[i] == gen || self.mem_wake[i] <= now {
-                mem.drain_outbox(now, &mut outgoing);
-                self.mem_busy[i] = !mem.is_quiescent();
-                self.mem_wake[i] = mem.next_event();
-            }
-            busy_controllers += usize::from(self.mem_busy[i]);
-            wake = wake.min(self.mem_wake[i]);
-        }
-        self.busy_controllers = busy_controllers;
-        active |= !outgoing.is_empty();
-        for nm in outgoing.drain(..) {
-            let src = self.router_of(nm.src);
-            let dst = self.router_of(nm.dst);
-            let vnet = nm.msg.vnet();
-            let flits = self.cfg.noc.flits_for_payload(nm.msg.payload_bytes());
-            let extra = self
-                .cfg
-                .faults
-                .noc_extra_delay(now.as_u64(), src, dst, vnet);
-            self.mesh
-                .send_with_delay(now, src, dst, vnet, flits, extra, nm);
-        }
-        self.outgoing = outgoing;
-        self.wake = wake.min(self.mesh.next_arrival().unwrap_or(Cycle::MAX));
-
-        self.now += 1;
-        active
-    }
-
-    /// First queue id of the L1 class (cores occupy `0..l1_id_base()`).
-    fn l1_id_base(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// First queue id of the L2 class.
-    fn l2_id_base(&self) -> usize {
-        self.cores.len() + self.l1s.len()
-    }
-
-    /// First queue id of the memory-controller class.
-    fn mem_id_base(&self) -> usize {
-        self.l2_id_base() + self.l2s.len()
-    }
-
-    /// (Re)builds the indexed event queue and the incremental ledgers
-    /// from the machine's current state: one full scan at run start, so
-    /// that no later step of [`System::step_indexed`] ever needs one.
-    fn prime_queue(&mut self) {
-        let now = self.now;
-        self.wake_queue
-            .reset(self.mem_id_base() + self.mems.len(), now.as_u64());
-        let mut running = 0;
-        for (i, core) in self.cores.iter().enumerate() {
-            let done = core.is_done();
-            self.core_done[i] = done;
-            running += usize::from(!done);
-            // Sampled at `now` (not `now + 1`) so cores due at the very
-            // first executed cycle are already in the queue.
-            self.wake_queue.set(i, core.next_event(now).as_u64());
-        }
-        self.cores_running = running;
-        let mut busy = 0;
-        let (l1b, l2b, memb) = (self.l1_id_base(), self.l2_id_base(), self.mem_id_base());
-        for (i, l1) in self.l1s.iter().enumerate() {
-            self.l1_wake[i] = l1.next_event();
-            self.l1_busy[i] = !l1.is_quiescent();
-            busy += usize::from(self.l1_busy[i]);
-            self.wake_queue.set(l1b + i, self.l1_wake[i].as_u64());
-        }
-        for (i, l2) in self.l2s.iter().enumerate() {
-            self.l2_wake[i] = l2.next_event();
-            self.l2_busy[i] = !l2.is_quiescent();
-            busy += usize::from(self.l2_busy[i]);
-            self.wake_queue.set(l2b + i, self.l2_wake[i].as_u64());
-        }
-        for (i, mem) in self.mems.iter().enumerate() {
-            self.mem_wake[i] = mem.next_event();
-            self.mem_busy[i] = !mem.is_quiescent();
-            busy += usize::from(self.mem_busy[i]);
-            self.wake_queue.set(memb + i, self.mem_wake[i].as_u64());
-        }
-        self.busy_controllers = busy;
-    }
-
-    /// The indexed step: semantically identical to [`System::step`],
-    /// but instead of scanning every component for work and for the
-    /// next wake cycle, it visits only the components that are **due**
-    /// (their queued wake deadline arrived — popped from the
-    /// [`WakeQueue`]) or **touched** (a network message landed on them
-    /// this cycle). Every skipped component provably satisfies the same
-    /// "untouched and not due" conditions under which the reference
-    /// loop's phases are no-ops, so the two produce bit-identical
-    /// machines; the per-step cost is O(active components), not O(n).
-    ///
-    /// Equivalence of the core wake test deserves a note: the queue
-    /// holds `core.next_event(prev + 1)` sampled after the core's last
-    /// tick at `prev`, while the reference compares
-    /// `core.next_event(now) <= now` each cycle. For an untouched core
-    /// the two are interchangeable — `next_event(t)` only ever returns
-    /// a constant deadline, `t` itself, or `MAX`, so "cached sample
-    /// `<= now`" and "fresh sample `<= now`" agree for every `now`
-    /// after the sample point.
-    fn step_indexed(&mut self, stop: Cycle) -> bool {
-        let now = self.now;
-        self.steps += 1;
-        let gen = self.steps;
-        let mut active = false;
-
-        // Components whose cached wake deadline has arrived. Popped
-        // entries are consumed; each is re-armed below after its class
-        // phase runs (the drain/tick re-samples `next_event`).
-        let mut due_ids = std::mem::take(&mut self.due_ids);
-        due_ids.clear();
-        self.wake_queue.pop_due(now.as_u64(), &mut due_ids);
-
-        let mut cand_core = std::mem::take(&mut self.cand_core);
-        let mut drain_l1 = std::mem::take(&mut self.drain_l1);
-        let mut tick_l2 = std::mem::take(&mut self.tick_l2);
-        let mut drain_l2 = std::mem::take(&mut self.drain_l2);
-        let mut drain_mem = std::mem::take(&mut self.drain_mem);
-        cand_core.clear();
-        drain_l1.clear();
-        tick_l2.clear();
-        drain_l2.clear();
-        drain_mem.clear();
-
-        let (l1b, l2b, memb) = (self.l1_id_base(), self.l2_id_base(), self.mem_id_base());
-        for &id in &due_ids {
-            let id = id as usize;
-            if id < l1b {
-                cand_core.push(id as u32);
-            } else if id < l2b {
-                drain_l1.push((id - l1b) as u32);
-            } else if id < memb {
-                drain_l2.push((id - l2b) as u32);
-            } else {
-                drain_mem.push((id - memb) as u32);
-            }
-        }
-
-        // 1. Deliver arrived network messages, recording which
-        // components they touch — the indexed equivalent of the
-        // reference loop discovering fresh `*_msg_gen` stamps by scan.
-        let mut arrivals = std::mem::take(&mut self.arrivals);
-        self.mesh.deliver_into(now, &mut arrivals);
-        active |= !arrivals.is_empty();
-        for (_router, nm) in arrivals.drain(..) {
-            match nm.dst {
-                Agent::L1(i) => {
-                    if self.l1_msg_gen[i] != gen {
-                        cand_core.push(i as u32);
-                    }
-                }
-                Agent::L2(i) => {
-                    if self.l2_msg_gen[i] != gen {
-                        tick_l2.push(i as u32);
-                        drain_l2.push(i as u32);
-                    }
-                }
-                Agent::Mem(j) => {
-                    if self.mem_msg_gen[j] != gen {
-                        drain_mem.push(j as u32);
-                    }
-                }
-            }
-            self.dispatch(now, nm);
-        }
-        self.arrivals = arrivals;
-
-        // 2. Cores execute against their L1s. Condition verbatim from
-        // the reference step; candidates outside the due/touched sets
-        // would fail it anyway.
-        cand_core.sort_unstable();
-        cand_core.dedup();
-        let next = now + 1;
-        for &i in &cand_core {
-            let i = i as usize;
+        for &id in &visit[..split] {
+            let i = id as usize;
             let core = &mut self.cores[i];
-            if self.l1_msg_gen[i] == gen || core.next_event(now) <= now {
+            if self.ledger[n + i].touched == gen || core.next_event(now) <= now {
+                // The tick may submit into the L1, so the L1's cached
+                // wake and busy flag are stale from here on: re-stamp.
                 core.tick(now, stop, self.l1s[i].as_mut());
-                self.l1_msg_gen[i] = gen;
+                self.ledger[n + i].touched = gen;
             }
-            let done = core.is_done();
-            if done != self.core_done[i] {
-                self.core_done[i] = done;
-                if done {
-                    self.cores_running -= 1;
-                } else {
-                    self.cores_running += 1;
-                }
-            }
-            self.wake_queue.set(i, core.next_event(next).as_u64());
-        }
-
-        // 3. Touched tiles advance (queued-request replay).
-        tick_l2.sort_unstable();
-        tick_l2.dedup();
-        for &i in &tick_l2 {
-            let i = i as usize;
-            if self.l2_msg_gen[i] == gen {
-                self.l2s[i].tick(now);
+            self.ledger[i].set_busy(!core.is_done(), &mut self.busy);
+            if !EVERY {
+                self.wake_queue.set(i, core.next_event(next).as_u64());
             }
         }
 
-        // 4. Drain candidates into the mesh — ascending index within
-        // each class, classes in L1, L2, memory order, so the mesh sees
-        // the exact injection sequence of the reference step (its
-        // link-contention and tie-break state are order-sensitive).
+        // 3. Controllers drain their ready outgoing messages into one
+        // reusable scratch buffer, in ascending id order — L1s, then
+        // tiles, then memory controllers, each by index — which is the
+        // injection order the mesh's link contention and tie-breaks see.
+        // A controller untouched this step (no message handled, no core
+        // submit) whose cached wake deadline has not arrived provably
+        // has nothing ready — its outbox, quiescence and next_event are
+        // exactly what they were when last sampled — so its drain and
+        // virtual calls are skipped and the cached values are reused. A
+        // touched tile first replays its queued requests; replay entries
+        // only appear while handling a message, so an untouched tile has
+        // none.
         let mut outgoing = std::mem::take(&mut self.outgoing);
-        drain_l1.extend_from_slice(&cand_core);
-        drain_l1.sort_unstable();
-        drain_l1.dedup();
-        for &i in &drain_l1 {
-            let i = i as usize;
-            if self.l1_msg_gen[i] == gen || self.l1_wake[i] <= now {
-                let l1 = &mut self.l1s[i];
-                l1.drain_outbox(now, &mut outgoing);
-                let busy = !l1.is_quiescent();
-                if busy != self.l1_busy[i] {
-                    self.l1_busy[i] = busy;
-                    if busy {
-                        self.busy_controllers += 1;
-                    } else {
-                        self.busy_controllers -= 1;
-                    }
-                }
-                self.l1_wake[i] = l1.next_event();
-                self.wake_queue.set(l1b + i, self.l1_wake[i].as_u64());
+        let tiles = 2 * n..2 * n + self.l2s.len();
+        for &id in &visit[split..] {
+            let id = id as usize;
+            let touched = self.ledger[id].touched == gen;
+            if !touched && self.ledger[id].wake > now {
+                continue;
+            }
+            let ctrl = self.ctrl_mut(id);
+            if touched && tiles.contains(&id) {
+                ctrl.tick(now);
+            }
+            ctrl.drain_outbox(now, &mut outgoing);
+            let (wake, busy) = (ctrl.next_event(), !ctrl.is_quiescent());
+            self.ledger[id].wake = wake;
+            self.ledger[id].set_busy(busy, &mut self.busy);
+            if !EVERY {
+                self.wake_queue.set(id, wake.as_u64());
             }
         }
-        drain_l2.sort_unstable();
-        drain_l2.dedup();
-        for &i in &drain_l2 {
-            let i = i as usize;
-            if self.l2_msg_gen[i] == gen || self.l2_wake[i] <= now {
-                let l2 = &mut self.l2s[i];
-                l2.drain_outbox(now, &mut outgoing);
-                let busy = !l2.is_quiescent();
-                if busy != self.l2_busy[i] {
-                    self.l2_busy[i] = busy;
-                    if busy {
-                        self.busy_controllers += 1;
-                    } else {
-                        self.busy_controllers -= 1;
-                    }
-                }
-                self.l2_wake[i] = l2.next_event();
-                self.wake_queue.set(l2b + i, self.l2_wake[i].as_u64());
-            }
-        }
-        drain_mem.sort_unstable();
-        drain_mem.dedup();
-        for &j in &drain_mem {
-            let j = j as usize;
-            if self.mem_msg_gen[j] == gen || self.mem_wake[j] <= now {
-                let mem = &mut self.mems[j];
-                mem.drain_outbox(now, &mut outgoing);
-                let busy = !mem.is_quiescent();
-                if busy != self.mem_busy[j] {
-                    self.mem_busy[j] = busy;
-                    if busy {
-                        self.busy_controllers += 1;
-                    } else {
-                        self.busy_controllers -= 1;
-                    }
-                }
-                self.mem_wake[j] = mem.next_event();
-                self.wake_queue.set(memb + j, self.mem_wake[j].as_u64());
-            }
-        }
+        self.visit = visit;
+
+        // 4. Inject the drained messages into the mesh.
         active |= !outgoing.is_empty();
         for nm in outgoing.drain(..) {
             let src = self.router_of(nm.src);
@@ -705,23 +505,21 @@ impl System {
                 .send_with_delay(now, src, dst, vnet, flits, extra, nm);
         }
         self.outgoing = outgoing;
-        self.wake = Cycle::new(self.wake_queue.next_wake())
-            .min(self.mesh.next_arrival().unwrap_or(Cycle::MAX));
 
-        self.due_ids = due_ids;
-        self.cand_core = cand_core;
-        self.drain_l1 = drain_l1;
-        self.tick_l2 = tick_l2;
-        self.drain_l2 = drain_l2;
-        self.drain_mem = drain_mem;
         self.now += 1;
-        active
+        let wake = if EVERY {
+            self.now
+        } else {
+            Cycle::new(self.wake_queue.next_wake())
+                .min(self.mesh.next_arrival().unwrap_or(Cycle::MAX))
+        };
+        (active, wake)
     }
 
     /// Whether every core has finished and the machine is quiescent.
-    /// O(1): reads the outstanding-work counters maintained by `step`.
+    /// O(1): reads the busy count that every step keeps.
     pub fn is_finished(&self) -> bool {
-        self.cores_running == 0 && self.busy_controllers == 0 && self.mesh.is_idle()
+        self.busy == 0 && self.mesh.is_idle()
     }
 
     /// Number of steps the run loop actually executed so far. Under the
@@ -735,6 +533,15 @@ impl System {
     /// Runs until every core halts and the machine drains, or until
     /// `max_cycles`, using the configured [`Stepper`].
     ///
+    /// One loop serves both steppers: it executes a step, then jumps to
+    /// the cycle the step reports — under [`Stepper::EventDriven`] the
+    /// earliest cycle any component can act, skipping every cycle in
+    /// which the step would be a no-op; under [`Stepper::Reference`] the
+    /// next cycle, so no cycle is skipped. The jump never passes the
+    /// cycle at which the budget runs out or the deadlock window
+    /// closes, so both steppers report timeouts and deadlocks at the
+    /// same cycle.
+    ///
     /// # Errors
     ///
     /// [`RunError::Timeout`] if the budget is exceeded;
@@ -743,29 +550,39 @@ impl System {
     /// work counters and the first blocked line; call
     /// [`System::hang_report`] for the full structured diagnosis.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunStats, RunError> {
-        let result = match self.cfg.stepper {
-            Stepper::EventDriven => self.run_event_driven(max_cycles),
-            Stepper::Reference => self.run_reference(max_cycles),
-        };
-        match result {
-            // The steppers report the *where*; the enrichment here
-            // (outside their hot loops and borrow scopes) adds the
-            // *what was outstanding* from the intact post-run machine.
-            Err(RunError::Deadlock {
-                stalled_at,
-                cores_unfinished,
-                ..
-            }) => {
+        let every = self.cfg.stepper == Stepper::Reference;
+        self.prime(every);
+        let mut last_active = self.now;
+        loop {
+            if self.now - last_active > DEADLOCK_WINDOW {
                 let report = self.hang_report();
-                Err(RunError::Deadlock {
-                    stalled_at,
-                    cores_unfinished,
-                    busy_controllers: self.busy_controllers,
+                return Err(RunError::Deadlock {
+                    stalled_at: self.now.as_u64(),
+                    cores_unfinished: report.cores_unfinished,
+                    busy_controllers: report.busy_controllers,
                     msgs_in_flight: self.mesh.in_flight_len(),
                     first_blocked_line: report.first_blocked_line(),
-                })
+                });
             }
-            other => other,
+            if self.now.as_u64() >= max_cycles {
+                return Err(RunError::Timeout { max_cycles });
+            }
+            let stop = Self::stop_cycle(max_cycles, last_active);
+            let (active, wake) = if every {
+                self.step::<true>(stop)
+            } else {
+                self.step::<false>(stop)
+            };
+            if active {
+                last_active = self.now;
+            }
+            if self.is_finished() {
+                return Ok(self.collect_stats());
+            }
+            let target = wake.min(Self::stop_cycle(max_cycles, last_active));
+            if target > self.now {
+                self.now = target;
+            }
         }
     }
 
@@ -809,10 +626,12 @@ impl System {
         let shape = self.cfg.shape();
         let (edges, cycle) =
             crate::hang::wait_graph(self.cores.len(), &l1s, &l2s, |line| shape.home_tile(line));
+        let (cores, ctrls) = self.ledger.split_at(self.cores.len());
+        let busy = |entries: &[LedgerEntry]| entries.iter().filter(|e| e.busy).count();
         HangReport {
             at_cycle: self.now.as_u64(),
-            cores_unfinished: self.cores_running,
-            busy_controllers: self.busy_controllers,
+            cores_unfinished: busy(cores),
+            busy_controllers: busy(ctrls),
             l1s,
             l2s,
             in_flight,
@@ -821,80 +640,13 @@ impl System {
         }
     }
 
-    /// The first cycle a run loop will not execute, given its budget
+    /// The first cycle the run loop will not execute, given its budget
     /// and the cycle after its last active step: it stops at
     /// `max_cycles` (timeout) or one deadlock window after the last
     /// message moved. A core's run-ahead never passes it, so a failed
     /// run's statistics are exactly those of the cycles it ran.
     fn stop_cycle(max_cycles: u64, last_active: Cycle) -> Cycle {
         Cycle::new(max_cycles).min(last_active.saturating_add(DEADLOCK_WINDOW + 1))
-    }
-
-    /// The original cycle-by-cycle polling loop, kept as the
-    /// determinism oracle for the event-driven scheduler.
-    fn run_reference(&mut self, max_cycles: u64) -> Result<RunStats, RunError> {
-        let mut last_active = self.now;
-        while self.now.as_u64() < max_cycles {
-            let active = self.step(Self::stop_cycle(max_cycles, last_active));
-            if active {
-                last_active = self.now;
-            }
-            if self.is_finished() {
-                return Ok(self.collect_stats());
-            }
-            if self.now - last_active > DEADLOCK_WINDOW {
-                return Err(RunError::Deadlock {
-                    stalled_at: self.now.as_u64(),
-                    cores_unfinished: self.cores_running,
-                    busy_controllers: 0,
-                    msgs_in_flight: 0,
-                    first_blocked_line: None,
-                });
-            }
-        }
-        Err(RunError::Timeout { max_cycles })
-    }
-
-    /// The event-driven scheduler: identical per-cycle semantics to
-    /// [`System::run_reference`], but each executed step visits only
-    /// due-or-touched components ([`System::step_indexed`]), and after
-    /// it simulated time jumps straight to the earliest cycle any
-    /// component can act — the queue minimum — instead of
-    /// single-stepping through the idle window. The skipped cycles are
-    /// exactly those in which the reference loop's step would have been
-    /// a no-op, so both loops produce bit-identical results — including
-    /// timeout and deadlock reporting, which is emulated at the cycle
-    /// the reference loop would have detected it.
-    fn run_event_driven(&mut self, max_cycles: u64) -> Result<RunStats, RunError> {
-        self.prime_queue();
-        let mut last_active = self.now;
-        loop {
-            if self.now - last_active > DEADLOCK_WINDOW {
-                return Err(RunError::Deadlock {
-                    stalled_at: self.now.as_u64(),
-                    cores_unfinished: self.cores_running,
-                    busy_controllers: 0,
-                    msgs_in_flight: 0,
-                    first_blocked_line: None,
-                });
-            }
-            if self.now.as_u64() >= max_cycles {
-                return Err(RunError::Timeout { max_cycles });
-            }
-            let active = self.step_indexed(Self::stop_cycle(max_cycles, last_active));
-            if active {
-                last_active = self.now;
-            }
-            if self.is_finished() {
-                return Ok(self.collect_stats());
-            }
-            // Fast-forward over the idle window, stopping where the
-            // reference loop would declare deadlock or run out of budget.
-            let target = self.wake.min(Self::stop_cycle(max_cycles, last_active));
-            if target > self.now {
-                self.now = target;
-            }
-        }
     }
 
     /// Aggregates all statistics (valid at any point, typically after

@@ -5,9 +5,11 @@
 //! [`crate::calendar`]), with **lazy decrease-key**: re-arming a
 //! component's wake bumps a per-component generation stamp instead of
 //! searching for the stale entry, and stale entries are skipped (and
-//! counted) when they surface. Pushing and popping cost O(1), and the
-//! next wake is the first occupied slot, so picking the next event no
-//! longer costs a min-scan over every component in the machine.
+//! counted) when they surface. Re-arming a component to the key its
+//! live entry already holds pushes nothing, so every stale entry is one
+//! whose wake really moved. Pushing and popping cost O(1), and the next
+//! wake is the first occupied slot, so picking the next event no longer
+//! costs a min-scan over every component in the machine.
 //!
 //! # The floor
 //!
@@ -45,7 +47,8 @@ use crate::Calendar;
 /// the counters are deliberately excluded from `RunStats` equality.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Entries pushed into the queue (`set` with a finite wake).
+    /// Entries pushed into the queue (`set` with a finite wake other
+    /// than the id's live one).
     pub pushes: u64,
     /// Live entries popped as due.
     pub events_popped: u64,
@@ -70,6 +73,8 @@ pub struct WakeQueue {
     /// matches. `set` bumps the stamp, so at most one live entry per id
     /// exists at any time.
     gens: Vec<u32>,
+    /// The key of each id's live entry; `u64::MAX` when it has none.
+    keys: Vec<u64>,
     stats: SchedStats,
 }
 
@@ -79,6 +84,7 @@ impl WakeQueue {
         WakeQueue {
             cal: Calendar::new(),
             gens: vec![0; n_ids],
+            keys: vec![u64::MAX; n_ids],
             stats: SchedStats::default(),
         }
     }
@@ -89,6 +95,8 @@ impl WakeQueue {
         self.cal.reset(floor);
         self.gens.clear();
         self.gens.resize(n_ids, 0);
+        self.keys.clear();
+        self.keys.resize(n_ids, u64::MAX);
         self.stats = SchedStats::default();
     }
 
@@ -100,8 +108,13 @@ impl WakeQueue {
     /// Re-arms `id` to wake at `key` (lazy decrease/increase-key): any
     /// previous entry for `id` becomes stale. `u64::MAX` means "never"
     /// — the previous entry is invalidated and nothing is pushed. Keys
-    /// below the floor are clamped up to it (see the module docs).
+    /// below the floor are clamped up to it (see the module docs). If
+    /// `id`'s live entry already holds `key`, nothing changes.
     pub fn set(&mut self, id: usize, key: u64) {
+        if self.keys[id] == key {
+            return;
+        }
+        self.keys[id] = key;
         let gen = self.gens[id].wrapping_add(1);
         self.gens[id] = gen;
         if key == u64::MAX {
@@ -121,9 +134,10 @@ impl WakeQueue {
     /// the floor to `now + 1`. Entries for popped ids are consumed; the
     /// caller re-arms them via [`WakeQueue::set`] after processing.
     pub fn pop_due(&mut self, now: u64, out: &mut Vec<u32>) {
-        let (gens, stats) = (&self.gens, &mut self.stats);
+        let (gens, keys, stats) = (&self.gens, &mut self.keys, &mut self.stats);
         self.cal.pop_due(now, |e| {
             if gens[e.id as usize] == e.gen {
+                keys[e.id as usize] = u64::MAX;
                 out.push(e.id);
                 stats.events_popped += 1;
             } else {
@@ -243,8 +257,11 @@ mod tests {
         q.reset(3, 4);
         assert_eq!(q.next_wake(), u64::MAX);
         assert_eq!(q.stats(), SchedStats::default());
+        // Re-arming an id to the key it held before the reset must push
+        // anew: the reset forgets live keys too.
+        q.set(0, 5);
         q.set(2, 9);
-        assert_eq!(drain_due(&mut q, 9), vec![2]);
+        assert_eq!(drain_due(&mut q, 9), vec![0, 2]);
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! benchmark at tiny scale; `tsocc sweep --check` checks all 63 points
 //! of `BENCH_sweep.json` (2–128 cores).
 //!
+//! Both steppers run the same `System` step; the reference one visits
+//! every component and skips no cycle. So this suite checks exactly the
+//! event-driven skips — which components a step visits and which
+//! cycles the loop jumps over — and cannot see an error in the shared
+//! per-cycle phases, `Core` or `Mesh`. `tests/golden_runs.rs`,
+//! `tests/chassis_parity.rs`, perfbench's pins and the committed rows
+//! behind `tsocc sweep --check` catch those.
+//!
 //! [`RunStats`]: tsocc::RunStats
 
 use tsocc::{RunStats, Stepper, System};

@@ -1,10 +1,11 @@
 //! The fault-injection axis end to end: a hand-crafted `HoldMshr`
 //! deadlock must produce an enriched [`RunError::Deadlock`] and a
 //! structured [`HangReport`] whose wait-for cycle names the held line,
-//! and a litmus run must report it as a hang; every protocol mutation
-//! must be caught by the oracle its matrix row pins, while benign NoC
-//! jitter stays clean; and jitter must change latency without changing
-//! correctness or breaking the bit-identity of the two steppers.
+//! identically under both steppers, and a litmus run must report it as
+//! a hang; every protocol mutation must be caught by the oracle its
+//! matrix row pins, while benign NoC jitter stays clean; and jitter
+//! must change latency without changing correctness or breaking the
+//! bit-identity of the two steppers.
 
 use tsocc::{
     FaultPlan, NocFault, ProtocolFault, RunError, RunStats, Stepper, System, SystemConfig,
@@ -32,13 +33,14 @@ fn wedge_programs() -> Vec<Program> {
     vec![a.finish(), b.finish()]
 }
 
-fn held_mshr_system(protocol: Protocol) -> System {
+fn held_mshr_system(protocol: Protocol, stepper: Stepper) -> System {
     let mut cfg = SystemConfig::builder()
         .small()
         .cores(2)
         .protocol(protocol)
         .build()
         .expect("valid config");
+    cfg.stepper = stepper;
     cfg.faults = FaultPlan {
         protocol: Some(ProtocolFault::HoldMshr {
             core: 0,
@@ -51,7 +53,7 @@ fn held_mshr_system(protocol: Protocol) -> System {
 
 #[test]
 fn held_mshr_deadlocks_with_enriched_error() {
-    let mut sys = held_mshr_system(Protocol::Mesi);
+    let mut sys = held_mshr_system(Protocol::Mesi, Stepper::EventDriven);
     let err = sys.run(1_000_000).expect_err("held MSHR must deadlock");
     let RunError::Deadlock {
         cores_unfinished,
@@ -74,7 +76,7 @@ fn held_mshr_deadlocks_with_enriched_error() {
 
 #[test]
 fn hang_report_names_the_held_line() {
-    let mut sys = held_mshr_system(Protocol::Mesi);
+    let mut sys = held_mshr_system(Protocol::Mesi, Stepper::EventDriven);
     sys.run(1_000_000).expect_err("held MSHR must deadlock");
     let report = sys.hang_report();
     assert_eq!(report.cores_unfinished, 1);
@@ -92,6 +94,45 @@ fn hang_report_names_the_held_line() {
         .iter()
         .any(|e| e.from == "L1#0" && e.line == LINE_X));
     assert!(report.summary().contains("L0x80"), "{}", report.summary());
+}
+
+/// A deadlock that leaves controllers busy, under both steppers: the
+/// error, the hang report and the statistics must be equal, and the
+/// error's counts must be the report's.
+#[test]
+fn held_mshr_deadlock_is_identical_across_steppers() {
+    for protocol in [Protocol::Mesi, Protocol::TsoCc(TsoCcConfig::default())] {
+        let run = |stepper| {
+            let mut sys = held_mshr_system(protocol, stepper);
+            let err = sys.run(1_000_000).expect_err("held MSHR must deadlock");
+            (err, sys.hang_report(), sys.collect_stats())
+        };
+        let (err, report, stats) = run(Stepper::EventDriven);
+        let (ref_err, ref_report, ref_stats) = run(Stepper::Reference);
+        let name = protocol.name();
+        assert_eq!(err, ref_err, "{name}");
+        assert_eq!(report, ref_report, "{name}");
+        assert_eq!(stats, ref_stats, "{name}");
+        let RunError::Deadlock {
+            cores_unfinished,
+            busy_controllers,
+            first_blocked_line,
+            ..
+        } = err
+        else {
+            panic!("{name}: expected a deadlock, got {err}");
+        };
+        assert_eq!(
+            (cores_unfinished, busy_controllers, first_blocked_line),
+            (
+                report.cores_unfinished,
+                report.busy_controllers,
+                report.first_blocked_line()
+            ),
+            "{name}"
+        );
+        assert!(busy_controllers >= 1, "{name}: {err}");
+    }
 }
 
 #[test]
