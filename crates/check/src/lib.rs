@@ -48,6 +48,16 @@
 //! order-sensitive.) [`CheckReport::reduction`] against a naive run
 //! quantifies the pruning.
 //!
+//! The search is stateless: it keeps the choice prefix, never a machine
+//! snapshot. Each [`check_model`] call builds one
+//! [`tsocc::ScheduledSystem`]; to backtrack, the explorer resets that
+//! machine in place ([`tsocc::ScheduledSystem::reset`]) and re-applies
+//! the prefix. Popped frames hand their enabled lists to new ones and
+//! the axiom check reuses one buffer, so the explorer's own bookkeeping
+//! allocates nothing per transition; what remains happens inside the
+//! protocol controllers (among it the list each L1's `access_lines`
+//! returns).
+//!
 //! The checker shares one blessed program surface with the campaign:
 //! litmus programs are [`ModelProgram`]s, lowered to coherence-layer
 //! ops by [`tsocc_conform::core_ops`], and violating programs shrink
@@ -249,13 +259,14 @@ pub fn check_model(
         .faults(faults)
         .build()
         .map_err(CheckError::Config)?;
-    let programs: Vec<_> = program.iter().map(|ops| core_ops(ops, pool)).collect();
+    let programs = program.iter().map(|ops| core_ops(ops, pool)).collect();
+    let state = ScheduledSystem::new(&cfg, programs).map_err(CheckError::Config)?;
     // One-shot fault triggers are order-sensitive even across different
     // lines, so the same-controller commutation refinement is only safe
     // on the unmutated protocol.
     let refine_lines = faults.protocol.is_none();
-    let mut explorer = Explorer::new(&cfg, programs, refine_lines, *opts, allowed);
-    explorer.explore()?;
+    let mut explorer = Explorer::new(refine_lines, *opts, allowed);
+    explorer.explore(state)?;
     Ok(explorer.report)
 }
 
@@ -499,18 +510,6 @@ impl Frame {
     }
 }
 
-/// The enabled choices of `state`, rejected when a frame's masks
-/// cannot hold them.
-fn enabled_choices(state: &ScheduledSystem) -> Result<Vec<Choice>, CheckError> {
-    let enabled = state.enabled();
-    if enabled.len() > MAX_FRAME_WIDTH {
-        return Err(CheckError::FrameTooWide {
-            width: enabled.len(),
-        });
-    }
-    Ok(enabled)
-}
-
 /// The process a choice belongs to, for backtrack-point planting: the
 /// thread for issues and drains, the channel for deliveries.
 #[derive(PartialEq, Eq)]
@@ -526,25 +525,19 @@ fn process(c: Choice) -> Process {
     }
 }
 
-struct Explorer<'a> {
-    cfg: &'a SystemConfig,
-    programs: Vec<Vec<tsocc_coherence::CoreOp>>,
+struct Explorer {
     refine_lines: bool,
     opts: CheckOpts,
     report: CheckReport,
+    /// The `enabled` lists of popped frames, recycled by new ones.
+    spare_lists: Vec<Vec<Choice>>,
+    /// The axiom check's buffer of `(line, access, core)` holdings.
+    held: Vec<(LineAddr, LineAccess, usize)>,
 }
 
-impl<'a> Explorer<'a> {
-    fn new(
-        cfg: &'a SystemConfig,
-        programs: Vec<Vec<tsocc_coherence::CoreOp>>,
-        refine_lines: bool,
-        opts: CheckOpts,
-        allowed: BTreeSet<Vec<u64>>,
-    ) -> Self {
+impl Explorer {
+    fn new(refine_lines: bool, opts: CheckOpts, allowed: BTreeSet<Vec<u64>>) -> Self {
         Explorer {
-            cfg,
-            programs,
             refine_lines,
             opts,
             report: CheckReport {
@@ -552,15 +545,30 @@ impl<'a> Explorer<'a> {
                 complete: true,
                 ..CheckReport::default()
             },
+            spare_lists: Vec::new(),
+            held: Vec::new(),
         }
     }
 
-    /// Depth-first stateless exploration: descend picking one choice
-    /// per frame, check terminals, backtrack to the deepest frame with
-    /// an outstanding obligation, replay the prefix, repeat.
-    fn explore(&mut self) -> Result<(), CheckError> {
-        let mut state = self.fresh_state()?;
-        let mut frames = vec![Frame::new(enabled_choices(&state)?, 0)];
+    /// The enabled choices of `state` in a recycled list, rejected when
+    /// a frame's masks cannot hold them.
+    fn enabled_choices(&mut self, state: &ScheduledSystem) -> Result<Vec<Choice>, CheckError> {
+        let mut enabled = self.spare_lists.pop().unwrap_or_default();
+        state.enabled_into(&mut enabled);
+        if enabled.len() > MAX_FRAME_WIDTH {
+            return Err(CheckError::FrameTooWide {
+                width: enabled.len(),
+            });
+        }
+        Ok(enabled)
+    }
+
+    /// Depth-first stateless exploration of `state`, a machine in its
+    /// initial state: descend picking one choice per frame, check
+    /// terminals, backtrack to the deepest frame with an outstanding
+    /// obligation, reset the machine and re-apply the prefix, repeat.
+    fn explore(&mut self, mut state: ScheduledSystem) -> Result<(), CheckError> {
+        let mut frames = vec![Frame::new(self.enabled_choices(&state)?, 0)];
         loop {
             if !self.report.violations.is_empty() {
                 self.report.complete = false;
@@ -574,7 +582,7 @@ impl<'a> Explorer<'a> {
             let frame = frames.last().expect("root frame");
             if frame.enabled.is_empty() {
                 self.on_terminal(&state, &frames);
-                if !self.backtrack(&mut frames, &mut state)? {
+                if !self.backtrack(&mut frames, &mut state) {
                     return Ok(());
                 }
                 continue;
@@ -590,7 +598,7 @@ impl<'a> Explorer<'a> {
                     // search has already covered.
                     self.report.sleep_blocked += 1;
                 }
-                if !self.backtrack(&mut frames, &mut state)? {
+                if !self.backtrack(&mut frames, &mut state) {
                     return Ok(());
                 }
                 continue;
@@ -613,7 +621,7 @@ impl<'a> Explorer<'a> {
             if at_l1 {
                 self.check_axioms(&state, &frames);
             }
-            let enabled = enabled_choices(&state)?;
+            let enabled = self.enabled_choices(&state)?;
             let sleep = self.child_sleep(frames.last().expect("frame"), &enabled);
             frames.push(Frame::new(enabled, sleep));
         }
@@ -732,34 +740,26 @@ impl<'a> Explorer<'a> {
         sleep
     }
 
-    /// Pops exhausted frames, marks their choices done, and replays the
-    /// surviving prefix into a fresh system. Returns `false` when the
+    /// Pops exhausted frames, marks their choices done, resets `state`
+    /// and re-applies the surviving prefix. Returns `false` when the
     /// whole tree is exhausted.
-    fn backtrack(
-        &mut self,
-        frames: &mut Vec<Frame>,
-        state: &mut ScheduledSystem,
-    ) -> Result<bool, CheckError> {
+    fn backtrack(&mut self, frames: &mut Vec<Frame>, state: &mut ScheduledSystem) -> bool {
         loop {
-            frames.pop();
+            let exhausted = frames.pop().expect("a current frame");
+            self.spare_lists.push(exhausted.enabled);
             let Some(frame) = frames.last_mut() else {
-                return Ok(false);
+                return false;
             };
             let step = frame.chosen.take().expect("ancestor frames have chosen");
             frame.done |= bit(step.index);
             if self.pick(frame).is_some() {
-                *state = self.fresh_state()?;
+                state.reset();
                 for f in &frames[..frames.len() - 1] {
                     state.apply(f.chosen.as_ref().expect("prefix frame").choice);
                 }
-                return Ok(true);
+                return true;
             }
         }
-    }
-
-    /// The initial state of the checked machine.
-    fn fresh_state(&self) -> Result<ScheduledSystem, CheckError> {
-        ScheduledSystem::new(self.cfg, self.programs.clone()).map_err(CheckError::Config)
     }
 
     /// Terminal-state checks (the state has no enabled choice):
@@ -786,46 +786,12 @@ impl<'a> Explorer<'a> {
     /// State-invariant checks, run after every transition that touched
     /// an L1.
     fn check_axioms(&mut self, state: &ScheduledSystem, frames: &[Frame]) {
-        let access = state.l1_access();
-        let mut lines: Vec<LineAddr> = access
-            .iter()
-            .flat_map(|l1| l1.iter().map(|&(line, _)| line))
-            .collect();
-        lines.sort_unstable();
-        lines.dedup();
-        for line in lines {
-            let holder = |want: LineAccess| {
-                access
-                    .iter()
-                    .enumerate()
-                    .filter(move |(_, l1)| l1.iter().any(|&(l, a)| l == line && a == want))
-                    .map(|(core, _)| core)
-            };
-            let writers: Vec<usize> = holder(LineAccess::Write).collect();
-            if writers.len() > 1 {
-                self.violation(
-                    ViolationKind::MultipleWriters {
-                        line,
-                        cores: writers,
-                    },
-                    frames,
-                );
-                return;
-            }
-            if state.discipline() == CoherenceDiscipline::Eager && writers.len() == 1 {
-                let readers: Vec<usize> = holder(LineAccess::Read).collect();
-                if !readers.is_empty() {
-                    self.violation(
-                        ViolationKind::ReaderWriterOverlap {
-                            line,
-                            writer: writers[0],
-                            readers,
-                        },
-                        frames,
-                    );
-                    return;
-                }
-            }
+        state.l1_access_into(&mut self.held);
+        self.held.sort_unstable();
+        self.held.dedup();
+        let eager = state.discipline() == CoherenceDiscipline::Eager;
+        if let Some(kind) = axiom_violation(&self.held, eager) {
+            self.violation(kind, frames);
         }
     }
 
@@ -838,6 +804,33 @@ impl<'a> Explorer<'a> {
             .violations
             .push(CheckViolation { kind, schedule });
     }
+}
+
+/// The first coherence-axiom violation among `held`, the L1s' sorted
+/// and deduplicated `(line, access, core)` holdings; `eager` adds the
+/// writer-excludes-readers axiom to the single-writer one.
+fn axiom_violation(held: &[(LineAddr, LineAccess, usize)], eager: bool) -> Option<ViolationKind> {
+    held.chunk_by(|a, b| a.0 == b.0).find_map(|on_line| {
+        let line = on_line[0].0;
+        // Within a line the holdings sort readers before writers.
+        let (readers, writers) =
+            on_line.split_at(on_line.partition_point(|h| h.1 == LineAccess::Read));
+        let cores = |held: &[(LineAddr, LineAccess, usize)]| held.iter().map(|h| h.2).collect();
+        if writers.len() > 1 {
+            Some(ViolationKind::MultipleWriters {
+                line,
+                cores: cores(writers),
+            })
+        } else if eager && writers.len() == 1 && !readers.is_empty() {
+            Some(ViolationKind::ReaderWriterOverlap {
+                line,
+                writer: writers[0].2,
+                readers: cores(readers),
+            })
+        } else {
+            None
+        }
+    })
 }
 
 /// Whether sleeping choice `s` stays independent of an executed step:
@@ -959,9 +952,10 @@ mod tests {
                 .build()
                 .unwrap();
             let programs = vec![vec![tsocc_coherence::CoreOp::Fence]; threads];
+            let state = ScheduledSystem::new(&cfg, programs).unwrap();
             let allowed = BTreeSet::from([Vec::new()]);
-            let mut explorer = Explorer::new(&cfg, programs, true, CheckOpts::default(), allowed);
-            explorer.explore().map(|()| explorer.report)
+            let mut explorer = Explorer::new(true, CheckOpts::default(), allowed);
+            explorer.explore(state).map(|()| explorer.report)
         };
         let report = explore(MAX_FRAME_WIDTH).unwrap();
         assert!(

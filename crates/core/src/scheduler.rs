@@ -14,7 +14,9 @@
 //!   messages of one channel in order but freely interleaves messages
 //!   of different channels depending on congestion and distance, so
 //!   "pop any non-empty channel" is exactly the real network's
-//!   nondeterminism, no more and no less.
+//!   nondeterminism, no more and no less. The queues sit in one dense
+//!   table whose index order is [`Channel`] order, so deliveries are
+//!   enumerated in ascending channel order.
 //! - **The core pipeline becomes an explicit TSO store-buffer shim.**
 //!   Each thread runs a list of [`CoreOp`]s: stores enter a FIFO
 //!   buffer (its own transition), buffered stores drain to the L1 as a
@@ -37,12 +39,19 @@
 //! delivery to that L1 — the only event that can free the conflicting
 //! MSHR — re-enables it. This keeps the search space free of silent
 //! self-loops without hiding any real interleaving.
+//!
+//! A search backtracks without snapshots: [`ScheduledSystem::reset`]
+//! returns the one machine to its initial state in place (controllers
+//! rebuilt through the protocol factory, queues emptied but their
+//! capacity kept), and the search re-applies the prefix it keeps.
+//! [`ReplaySchedule`] drives a machine down a recorded choice sequence,
+//! which is how a violation the checker reports is reproduced.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use tsocc_coherence::{
     Agent, CacheController, CoherenceDiscipline, Completion, CoreOp, L1Controller, L2Controller,
-    LineAccess, MemCtrl, Msg, NetMsg, Submit,
+    LineAccess, MachineShape, MemCtrl, Msg, NetMsg, ProtocolHandle, Submit,
 };
 use tsocc_mem::{LineAddr, MainMemory};
 use tsocc_noc::VNet;
@@ -55,6 +64,118 @@ use crate::config::{ConfigError, SystemConfig};
 /// jitter-free mesh (same-channel messages stay ordered; distinct
 /// channels interleave freely).
 pub type Channel = (Agent, Agent, VNet);
+
+/// Every channel's FIFO in one dense table, indexed so that ascending
+/// index is ascending [`Channel`] order: agents are numbered L1s, then
+/// L2 tiles, then memory controllers (the order of [`Agent`]'s derived
+/// `Ord`), and a channel's index is `(src * n_agents + dst) * 3 + vnet`.
+/// An occupancy bitset beside the table lets enumeration and reset
+/// visit only the non-empty queues.
+struct ChannelTable {
+    n_cores: usize,
+    n_tiles: usize,
+    n_mem: usize,
+    n_agents: usize,
+    queues: Vec<VecDeque<Msg>>,
+    /// Bit `i` is set while `queues[i]` is non-empty.
+    occupied: Vec<u64>,
+}
+
+impl ChannelTable {
+    fn new(shape: &MachineShape) -> Self {
+        let n_agents = shape.n_cores + shape.n_tiles + shape.n_mem;
+        let len = n_agents * n_agents * VNet::ALL.len();
+        ChannelTable {
+            n_cores: shape.n_cores,
+            n_tiles: shape.n_tiles,
+            n_mem: shape.n_mem,
+            n_agents,
+            queues: (0..len).map(|_| VecDeque::new()).collect(),
+            occupied: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    fn agent_index(&self, agent: Agent) -> usize {
+        let (base, i, n) = match agent {
+            Agent::L1(i) => (0, i, self.n_cores),
+            Agent::L2(t) => (self.n_cores, t, self.n_tiles),
+            Agent::Mem(j) => (self.n_cores + self.n_tiles, j, self.n_mem),
+        };
+        assert!(i < n, "{agent:?} is not an agent of this machine");
+        base + i
+    }
+
+    fn agent_at(&self, index: usize) -> Agent {
+        if index < self.n_cores {
+            Agent::L1(index)
+        } else if index < self.n_cores + self.n_tiles {
+            Agent::L2(index - self.n_cores)
+        } else {
+            Agent::Mem(index - self.n_cores - self.n_tiles)
+        }
+    }
+
+    fn index(&self, (src, dst, vnet): Channel) -> usize {
+        (self.agent_index(src) * self.n_agents + self.agent_index(dst)) * VNet::ALL.len()
+            + vnet.index()
+    }
+
+    fn channel(&self, index: usize) -> Channel {
+        let pair = index / VNet::ALL.len();
+        (
+            self.agent_at(pair / self.n_agents),
+            self.agent_at(pair % self.n_agents),
+            VNet::ALL[index % VNet::ALL.len()],
+        )
+    }
+
+    fn push(&mut self, channel: Channel, msg: Msg) {
+        let i = self.index(channel);
+        self.queues[i].push_back(msg);
+        self.occupied[i / 64] |= 1 << (i % 64);
+    }
+
+    fn pop(&mut self, channel: Channel) -> Option<Msg> {
+        let i = self.index(channel);
+        let msg = self.queues[i].pop_front();
+        if self.queues[i].is_empty() {
+            self.occupied[i / 64] &= !(1 << (i % 64));
+        }
+        msg
+    }
+
+    /// The indices of the non-empty queues, ascending.
+    fn occupied(&self) -> impl Iterator<Item = usize> + '_ {
+        set_bits(&self.occupied)
+    }
+
+    /// Empties every queue, keeping its capacity.
+    fn clear(&mut self) {
+        for i in set_bits(&self.occupied) {
+            self.queues[i].clear();
+        }
+        self.occupied.fill(0);
+    }
+
+    /// Messages queued over all channels.
+    fn queued(&self) -> usize {
+        self.occupied().map(|i| self.queues[i].len()).sum()
+    }
+}
+
+/// The positions of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i
+            })
+        })
+    })
+}
 
 /// One nondeterministic choice the machine can take next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -82,7 +203,7 @@ pub enum Choice {
 
 /// What one applied [`Choice`] touched — the dependence footprint the
 /// checker's dynamic partial-order reduction is computed from.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StepInfo {
     /// The controller whose state the transition read or wrote: the
     /// issuing thread's L1 for [`Choice::Issue`]/[`Choice::Drain`], the
@@ -93,7 +214,77 @@ pub struct StepInfo {
     pub line: Option<LineAddr>,
     /// Channels this transition pushed messages into (in order, with
     /// duplicates collapsed).
-    pub emitted: Vec<Channel>,
+    pub emitted: Emitted,
+}
+
+/// How many channels an [`Emitted`] list holds before it spills to the
+/// heap. No transition of the two-thread litmus family pushes into
+/// more.
+const EMITTED_INLINE: usize = 4;
+
+/// The channels one transition pushed messages into, in first-push
+/// order with duplicates collapsed. Up to four are stored inline, so
+/// recording a transition allocates nothing; a longer list spills to
+/// the heap. Dereferences to a slice.
+#[derive(Clone)]
+pub struct Emitted {
+    len: usize,
+    inline: [Channel; EMITTED_INLINE],
+    /// Every channel, once there are more than [`EMITTED_INLINE`].
+    spill: Vec<Channel>,
+}
+
+impl Emitted {
+    fn new() -> Self {
+        const UNUSED: Channel = (Agent::L1(0), Agent::L1(0), VNet::Request);
+        Emitted {
+            len: 0,
+            inline: [UNUSED; EMITTED_INLINE],
+            spill: Vec::new(),
+        }
+    }
+
+    /// Appends `channel` unless the list already holds it.
+    fn insert(&mut self, channel: Channel) {
+        if self.contains(&channel) {
+            return;
+        }
+        if self.len < EMITTED_INLINE {
+            self.inline[self.len] = channel;
+        } else {
+            if self.len == EMITTED_INLINE {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push(channel);
+        }
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Emitted {
+    type Target = [Channel];
+
+    fn deref(&self) -> &[Channel] {
+        if self.len <= EMITTED_INLINE {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+impl PartialEq for Emitted {
+    fn eq(&self, other: &Emitted) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Emitted {}
+
+impl std::fmt::Debug for Emitted {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Why [`ScheduledSystem::enabled`] came back empty.
@@ -140,6 +331,42 @@ struct ThreadShim {
 }
 
 impl ThreadShim {
+    fn new(ops: Vec<CoreOp>) -> Self {
+        ThreadShim {
+            ops,
+            pc: 0,
+            buffer: VecDeque::new(),
+            head_issued: false,
+            waiting: None,
+            issue_blocked: false,
+            drain_blocked: false,
+            observed: Vec::new(),
+        }
+    }
+
+    /// Returns the thread to its first operation, keeping its program
+    /// and the capacity of its buffers. Lists every field, so a new one
+    /// cannot be forgotten here.
+    fn rewind(&mut self) {
+        let ThreadShim {
+            ops: _,
+            pc,
+            buffer,
+            head_issued,
+            waiting,
+            issue_blocked,
+            drain_blocked,
+            observed,
+        } = self;
+        *pc = 0;
+        buffer.clear();
+        *head_issued = false;
+        *waiting = None;
+        *issue_blocked = false;
+        *drain_blocked = false;
+        observed.clear();
+    }
+
     fn done(&self) -> bool {
         self.pc == self.ops.len() && self.buffer.is_empty() && self.waiting.is_none()
     }
@@ -154,15 +381,15 @@ impl ThreadShim {
     }
 }
 
-/// Picks among enabled choices; `None` stops the run. Implemented by
-/// the checker's DFS driver and by [`ReplaySchedule`].
+/// Picks among enabled choices for [`ScheduledSystem::run`]; `None`
+/// stops the run. Implemented by [`ReplaySchedule`].
 pub trait Scheduler {
     /// Returns the index into `enabled` of the choice to apply next.
     fn pick(&mut self, enabled: &[Choice]) -> Option<usize>;
 }
 
-/// Replays a recorded choice sequence — the checker's way of driving
-/// the system back down an explored prefix before branching.
+/// Replays a recorded choice sequence, such as the schedule of a
+/// violation the checker reports.
 #[derive(Clone, Debug, Default)]
 pub struct ReplaySchedule {
     choices: Vec<Choice>,
@@ -190,11 +417,19 @@ impl Scheduler for ReplaySchedule {
 /// [`tsocc_coherence::ProtocolFactory`] seam as [`crate::System`]),
 /// FIFO channels in place of the mesh, and store-buffer shims in place
 /// of the core pipelines.
+///
+/// One machine serves a whole search: [`Self::reset`] returns it to the
+/// state [`Self::new`] built, so backtracking allocates no new machine,
+/// channel table or program copy.
 pub struct ScheduledSystem {
+    /// The factory and the zero-latency shape every controller is
+    /// built from, kept so [`Self::reset`] can rebuild them.
+    protocol: ProtocolHandle,
+    shape: MachineShape,
     l1s: Vec<Box<dyn L1Controller>>,
     l2s: Vec<Box<dyn L2Controller>>,
     mems: Vec<MemCtrl>,
-    channels: BTreeMap<Channel, VecDeque<Msg>>,
+    channels: ChannelTable,
     threads: Vec<ThreadShim>,
     wb_capacity: usize,
     discipline: CoherenceDiscipline,
@@ -224,46 +459,59 @@ impl ScheduledSystem {
         let mut shape = cfg.shape();
         shape.l1_issue_latency = 0;
         shape.l2_latency = 0;
-        let l1s = (0..cfg.n_cores)
-            .map(|i| cfg.protocol.l1(i, &shape))
-            .collect();
-        let l2s = (0..cfg.n_tiles())
-            .map(|t| cfg.protocol.l2(t, &shape))
-            .collect();
-        let mems = (0..cfg.n_mem)
-            .map(|j| MemCtrl::new(j, MainMemory::new(), 0))
-            .collect();
-        let threads = programs
-            .into_iter()
-            .map(|ops| ThreadShim {
-                ops,
-                pc: 0,
-                buffer: VecDeque::new(),
-                head_issued: false,
-                waiting: None,
-                issue_blocked: false,
-                drain_blocked: false,
-                observed: Vec::new(),
-            })
-            .collect();
-        Ok(ScheduledSystem {
-            l1s,
-            l2s,
-            mems,
-            channels: BTreeMap::new(),
-            threads,
+        let mut sys = ScheduledSystem {
+            protocol: cfg.protocol.clone(),
+            shape,
+            l1s: Vec::new(),
+            l2s: Vec::new(),
+            mems: Vec::new(),
+            channels: ChannelTable::new(&shape),
+            threads: programs.into_iter().map(ThreadShim::new).collect(),
             wb_capacity: cfg.core.write_buffer_entries,
             discipline: cfg.protocol.coherence_discipline(),
             transitions: 0,
             scratch_msgs: Vec::new(),
             scratch_completions: Vec::new(),
-        })
+        };
+        sys.reset();
+        Ok(sys)
+    }
+
+    /// Returns the machine to its initial state, as [`Self::new`] left
+    /// it: every controller is rebuilt through the protocol factory (so
+    /// a fault plan's one-shot triggers are armed again), every channel
+    /// is emptied and every thread rewound to its first operation. The
+    /// programs and the capacity of every queue are kept, which is what
+    /// makes this cheaper than building a new machine.
+    pub fn reset(&mut self) {
+        let shape = &self.shape;
+        let protocol = &self.protocol;
+        self.l1s.clear();
+        self.l1s
+            .extend((0..shape.n_cores).map(|i| protocol.l1(i, shape)));
+        self.l2s.clear();
+        self.l2s
+            .extend((0..shape.n_tiles).map(|t| protocol.l2(t, shape)));
+        self.mems.clear();
+        self.mems
+            .extend((0..shape.n_mem).map(|j| MemCtrl::new(j, MainMemory::new(), 0)));
+        self.channels.clear();
+        self.threads.iter_mut().for_each(ThreadShim::rewind);
+        self.transitions = 0;
     }
 
     /// The set of enabled choices, in a deterministic order (issues,
-    /// drains, then deliveries by channel key).
+    /// drains, then deliveries in ascending [`Channel`] order).
     pub fn enabled(&self) -> Vec<Choice> {
         let mut out = Vec::new();
+        self.enabled_into(&mut out);
+        out
+    }
+
+    /// [`Self::enabled`] written into `out` (cleared first), so a caller
+    /// enumerating many states can recycle one list.
+    pub fn enabled_into(&self, out: &mut Vec<Choice>) {
+        out.clear();
         for (t, th) in self.threads.iter().enumerate() {
             if th.waiting.is_none() && th.pc < th.ops.len() {
                 let ok = match th.ops[th.pc] {
@@ -282,12 +530,9 @@ impl ScheduledSystem {
                 out.push(Choice::Drain { thread: t });
             }
         }
-        for (&channel, q) in &self.channels {
-            if !q.is_empty() {
-                out.push(Choice::Deliver { channel });
-            }
-        }
-        out
+        out.extend(self.channels.occupied().map(|i| Choice::Deliver {
+            channel: self.channels.channel(i),
+        }));
     }
 
     /// Classifies an empty enabled set; `None` while choices remain.
@@ -327,7 +572,7 @@ impl ScheduledSystem {
                 StepInfo {
                     ctrl,
                     line: Some(addr.line()),
-                    emitted: Vec::new(),
+                    emitted: Emitted::new(),
                 }
             }
             CoreOp::Load(addr) => {
@@ -338,7 +583,7 @@ impl ScheduledSystem {
                     return StepInfo {
                         ctrl,
                         line: Some(addr.line()),
-                        emitted: Vec::new(),
+                        emitted: Emitted::new(),
                     };
                 }
                 match self.l1s[t].submit(Cycle::ZERO, op) {
@@ -411,8 +656,7 @@ impl ScheduledSystem {
         let (src, dst, _) = channel;
         let msg = self
             .channels
-            .get_mut(&channel)
-            .and_then(VecDeque::pop_front)
+            .pop(channel)
             .expect("deliver needs a queued message");
         let line = msg.line();
         self.ctrl_mut(dst).handle_message(Cycle::ZERO, src, msg);
@@ -436,8 +680,9 @@ impl ScheduledSystem {
     /// enabled, or `max_steps` transitions were applied. Returns the
     /// terminal classification if the run ended in one.
     pub fn run(&mut self, scheduler: &mut impl Scheduler, max_steps: u64) -> Option<Terminal> {
+        let mut enabled = Vec::new();
         for _ in 0..max_steps {
-            let enabled = self.enabled();
+            self.enabled_into(&mut enabled);
             if enabled.is_empty() {
                 return Some(self.stuck());
             }
@@ -461,6 +706,20 @@ impl ScheduledSystem {
     /// coherence axioms.
     pub fn l1_access(&self) -> Vec<Vec<(LineAddr, LineAccess)>> {
         self.l1s.iter().map(|l1| l1.access_lines()).collect()
+    }
+
+    /// [`Self::l1_access`] flattened into `out` (cleared first) as
+    /// `(line, access, core)` triples, so a caller checking many states
+    /// can recycle one buffer.
+    pub fn l1_access_into(&self, out: &mut Vec<(LineAddr, LineAccess, usize)>) {
+        out.clear();
+        for (core, l1) in self.l1s.iter().enumerate() {
+            out.extend(
+                l1.access_lines()
+                    .into_iter()
+                    .map(|(line, access)| (line, access, core)),
+            );
+        }
     }
 
     /// The configured protocol's declared coherence discipline.
@@ -490,8 +749,8 @@ impl ScheduledSystem {
     /// replays queued directory requests, flushes the outbox into the
     /// channels, and repeats until the controller reports no
     /// self-driven work. Returns the channels pushed into.
-    fn settle(&mut self, agent: Agent) -> Vec<Channel> {
-        let mut emitted = Vec::new();
+    fn settle(&mut self, agent: Agent) -> Emitted {
+        let mut emitted = Emitted::new();
         for _ in 0..100_000 {
             let next = match agent {
                 Agent::L1(i) => self.l1s[i].next_event(),
@@ -511,10 +770,8 @@ impl ScheduledSystem {
             }
             for m in out.drain(..) {
                 let key = (m.src, m.dst, m.msg.vnet());
-                if !emitted.contains(&key) {
-                    emitted.push(key);
-                }
-                self.channels.entry(key).or_default().push_back(m.msg);
+                emitted.insert(key);
+                self.channels.push(key, m.msg);
             }
             self.scratch_msgs = out;
         }
@@ -551,10 +808,7 @@ impl std::fmt::Debug for ScheduledSystem {
         f.debug_struct("ScheduledSystem")
             .field("threads", &self.threads.len())
             .field("transitions", &self.transitions)
-            .field(
-                "queued",
-                &self.channels.values().map(VecDeque::len).sum::<usize>(),
-            )
+            .field("queued", &self.channels.queued())
             .finish()
     }
 }
@@ -562,11 +816,16 @@ impl std::fmt::Debug for ScheduledSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsocc_coherence::{FaultPlan, ProtocolFault};
     use tsocc_mem::Addr;
+    use tsocc_mesi_coarse::MesiCoarseConfig;
+    use tsocc_proto::TsoCcConfig;
     use tsocc_protocols::Protocol;
+    use tsocc_sim::SplitMix64;
 
     const X: u64 = 0x2000;
     const Y: u64 = 0x2008; // same line as X: the 1-line configuration
+    const Z: u64 = 0x2040; // the next line, in the next cache set
 
     fn sys(protocol: Protocol, programs: Vec<Vec<CoreOp>>) -> ScheduledSystem {
         let cfg = SystemConfig::builder()
@@ -715,5 +974,225 @@ mod tests {
         assert_eq!(end, Some(Terminal::Done));
         assert_eq!(replayed.outcome(), s.outcome());
         assert_eq!(replayed.transitions(), s.transitions());
+    }
+
+    /// A seeded, uniformly random schedule.
+    struct RandomChoice(SplitMix64);
+
+    impl Scheduler for RandomChoice {
+        fn pick(&mut self, enabled: &[Choice]) -> Option<usize> {
+            Some((self.0.next_u64() % enabled.len() as u64) as usize)
+        }
+    }
+
+    /// Steps `reset` and `fresh` through one random schedule in
+    /// lockstep, requiring every observable to agree at every step.
+    fn lockstep(reset: &mut ScheduledSystem, fresh: &mut ScheduledSystem, seed: u64, what: &str) {
+        let mut pick = RandomChoice(SplitMix64::new(seed));
+        loop {
+            let enabled = fresh.enabled();
+            let step = fresh.transitions();
+            assert_eq!(reset.enabled(), enabled, "{what}: enabled() at step {step}");
+            if enabled.is_empty() {
+                break;
+            }
+            let c = enabled[pick.pick(&enabled).unwrap()];
+            assert_eq!(
+                reset.apply(c),
+                fresh.apply(c),
+                "{what}: {c:?} at step {step}"
+            );
+        }
+        assert_eq!(reset.outcome(), fresh.outcome(), "{what}: outcome()");
+        assert_eq!(reset.stuck(), fresh.stuck(), "{what}: stuck()");
+        assert_eq!(reset.l1_access(), fresh.l1_access(), "{what}: l1_access()");
+        assert_eq!(
+            reset.transitions(),
+            fresh.transitions(),
+            "{what}: transitions()"
+        );
+    }
+
+    #[test]
+    fn a_reset_machine_behaves_like_a_new_one() {
+        let drop_inv_ack = FaultPlan {
+            protocol: Some(ProtocolFault::DropInvAck { core: 0 }),
+            ..FaultPlan::none()
+        };
+        let machines = [
+            ("MESI", Protocol::Mesi, FaultPlan::none()),
+            (
+                "MESI-P2-G2",
+                Protocol::MesiCoarse(MesiCoarseConfig::new(2, 2)),
+                FaultPlan::none(),
+            ),
+            (
+                "TSO-CC-4-basic",
+                Protocol::TsoCc(TsoCcConfig::basic()),
+                FaultPlan::none(),
+            ),
+            ("MESI with DropInvAck", Protocol::Mesi, drop_inv_ack),
+        ];
+        // Core 0 reads X before or after core 1 reads and writes it (an
+        // invalidation, the path DropInvAck hides in, or a forward),
+        // while a second line carries a store and two loads.
+        let programs = || vec![vec![ld(X), st(Z, 1), ld(Z)], vec![ld(X), st(X, 1), ld(Z)]];
+        for (name, protocol, faults) in machines {
+            let cfg = SystemConfig::builder()
+                .small()
+                .cores(2)
+                .protocol(protocol)
+                .faults(faults)
+                .build()
+                .unwrap();
+            let build = || ScheduledSystem::new(&cfg, programs()).unwrap();
+            let mut deadlocks = 0;
+            for seed in 0..8 {
+                let what = format!("{name}, seed {seed}");
+                let mut machine = build();
+                let mut pick = RandomChoice(SplitMix64::new(seed));
+                if seed % 2 == 0 {
+                    // Reset from a terminal state.
+                    let end = machine.run(&mut pick, 10_000);
+                    assert!(end.is_some(), "{what}: no terminal state");
+                    deadlocks += usize::from(end == Some(Terminal::Deadlock));
+                } else {
+                    // Reset mid-run, with messages in flight.
+                    loop {
+                        let enabled = machine.enabled();
+                        let in_flight = enabled.iter().any(|c| matches!(c, Choice::Deliver { .. }));
+                        if in_flight && machine.transitions() > seed {
+                            break;
+                        }
+                        assert!(
+                            !enabled.is_empty(),
+                            "{what}: ended with no message in flight"
+                        );
+                        machine.apply(enabled[pick.pick(&enabled).unwrap()]);
+                    }
+                }
+                machine.reset();
+                lockstep(&mut machine, &mut build(), seed + 100, &what);
+            }
+            if faults.protocol.is_some() {
+                assert!(deadlocks > 0, "{name}: no first run deadlocked");
+            }
+        }
+    }
+
+    #[test]
+    fn the_channel_table_keeps_channel_order() {
+        for cores in [2, 3, 4] {
+            let cfg = SystemConfig::builder()
+                .small()
+                .cores(cores)
+                .protocol(Protocol::Mesi)
+                .build()
+                .unwrap();
+            assert!(cores == 2 || cfg.n_mem < cores, "{cores} cores");
+            // Each core reads its own line, then stores to and reads its
+            // neighbours': every pair of L1s shares a line, and the
+            // lines are homed on different tiles.
+            let line = |i: usize| X + 0x40 * (i % cores) as u64;
+            let programs = (0..cores)
+                .map(|i| {
+                    vec![
+                        ld(line(i)),
+                        st(line(i + 1), 1),
+                        ld(line(i + 2)),
+                        st(line(i), 2),
+                    ]
+                })
+                .collect();
+            let mut machine = ScheduledSystem::new(&cfg, programs).unwrap();
+
+            // Ascending index is ascending channel order, and every
+            // channel of the machine round-trips through its index.
+            let table = &machine.channels;
+            for i in 0..table.queues.len() {
+                assert_eq!(table.index(table.channel(i)), i, "{cores} cores");
+                if i > 0 {
+                    assert!(
+                        table.channel(i - 1) < table.channel(i),
+                        "{cores} cores, {i}"
+                    );
+                }
+            }
+            let agents: Vec<Agent> = (0..cores)
+                .map(Agent::L1)
+                .chain((0..cfg.n_tiles()).map(Agent::L2))
+                .chain((0..cfg.n_mem).map(Agent::Mem))
+                .collect();
+            assert_eq!(table.queues.len(), agents.len().pow(2) * VNet::ALL.len());
+            for &src in &agents {
+                for &dst in &agents {
+                    for vnet in VNet::ALL {
+                        let channel = (src, dst, vnet);
+                        assert_eq!(table.channel(table.index(channel)), channel);
+                    }
+                }
+            }
+
+            // Along a schedule that issues and drains whenever it can
+            // (so messages pile up) and otherwise delivers at random,
+            // enabled() lists exactly the non-empty channels, in
+            // ascending channel order.
+            let mut rng = SplitMix64::new(cores as u64);
+            let (mut most, mut mixed) = (0, false);
+            loop {
+                let enabled = machine.enabled();
+                if enabled.is_empty() {
+                    break;
+                }
+                let listed: Vec<Channel> = enabled
+                    .iter()
+                    .filter_map(|c| match c {
+                        Choice::Deliver { channel } => Some(*channel),
+                        _ => None,
+                    })
+                    .collect();
+                let mut queued: Vec<Channel> = (0..machine.channels.queues.len())
+                    .filter(|&i| !machine.channels.queues[i].is_empty())
+                    .map(|i| machine.channels.channel(i))
+                    .collect();
+                queued.sort_unstable();
+                assert_eq!(
+                    listed, queued,
+                    "{cores} cores: deliveries out of channel order"
+                );
+                most = most.max(listed.len());
+                mixed |= listed.iter().any(|ch| ch.2 != listed[0].2);
+                let local = enabled.len() - listed.len();
+                let c = if local > 0 {
+                    enabled[0]
+                } else {
+                    enabled[(rng.next_u64() % enabled.len() as u64) as usize]
+                };
+                machine.apply(c);
+            }
+            assert_eq!(machine.stuck(), Terminal::Done, "{cores} cores");
+            assert!(
+                most > cores,
+                "{cores} cores: at most {most} channels queued at once"
+            );
+            assert!(mixed, "{cores} cores: never two vnets queued at once");
+        }
+    }
+
+    #[test]
+    fn emitted_keeps_first_push_order_past_its_inline_capacity() {
+        let ch = |i| (Agent::L1(i), Agent::L2(0), VNet::Request);
+        let mut emitted = Emitted::new();
+        for i in [0, 1, 0, 2, 3, 1] {
+            emitted.insert(ch(i));
+        }
+        assert_eq!(*emitted, [ch(0), ch(1), ch(2), ch(3)]);
+        assert!(emitted.spill.is_empty(), "four channels fit inline");
+        for i in [4, 2, 5, 4] {
+            emitted.insert(ch(i));
+        }
+        assert_eq!(*emitted, [ch(0), ch(1), ch(2), ch(3), ch(4), ch(5)]);
+        assert!(emitted.contains(&ch(5)) && !emitted.contains(&ch(6)));
+        assert_eq!(format!("{emitted:?}"), format!("{:?}", &*emitted));
     }
 }
