@@ -261,7 +261,7 @@ pub fn print_table2(opts: &crate::SweepOpts) {
 
 /// Table 3: benchmarks and their input parameters.
 pub fn print_table3() {
-    println!("\n== Table 3: benchmarks (synthetic kernels; see DESIGN.md §3) ==");
+    println!("\n== Table 3: benchmarks (synthetic kernels; see the tsocc_workloads crate docs) ==");
     for suite in ["PARSEC", "SPLASH-2", "STAMP"] {
         println!("{suite}:");
         for b in Benchmark::ALL.iter().filter(|b| b.suite() == suite) {

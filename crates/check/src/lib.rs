@@ -52,7 +52,9 @@
 //! snapshot. Each [`check_model`] call builds one
 //! [`tsocc::ScheduledSystem`]; to backtrack, the explorer resets that
 //! machine in place ([`tsocc::ScheduledSystem::reset`]) and re-applies
-//! the prefix. Popped frames hand their enabled lists to new ones and
+//! the prefix. Popped frames hand their enabled lists to new ones,
+//! every applied step records its emitted channels into the list of a
+//! step already undone ([`tsocc::ScheduledSystem::apply_reusing`]), and
 //! the axiom check reuses one buffer, so the explorer's own bookkeeping
 //! allocates nothing per transition; what remains happens inside the
 //! protocol controllers (among it the list each L1's `access_lines`
@@ -66,7 +68,7 @@
 
 use std::collections::BTreeSet;
 
-use tsocc::{Choice, ScheduledSystem, StepInfo, SystemConfig, Terminal};
+use tsocc::{Channel, Choice, ScheduledSystem, StepInfo, SystemConfig, Terminal};
 use tsocc_coherence::{Agent, CoherenceDiscipline, FaultPlan, LineAccess};
 use tsocc_conform::{core_ops, shrink};
 use tsocc_mem::LineAddr;
@@ -531,6 +533,8 @@ struct Explorer {
     report: CheckReport,
     /// The `enabled` lists of popped frames, recycled by new ones.
     spare_lists: Vec<Vec<Choice>>,
+    /// The `emitted` lists of undone steps, recycled by new ones.
+    spare_emitted: Vec<Vec<Channel>>,
     /// The axiom check's buffer of `(line, access, core)` holdings.
     held: Vec<(LineAddr, LineAccess, usize)>,
 }
@@ -546,6 +550,7 @@ impl Explorer {
                 ..CheckReport::default()
             },
             spare_lists: Vec::new(),
+            spare_emitted: Vec::new(),
             held: Vec::new(),
         }
     }
@@ -604,7 +609,7 @@ impl Explorer {
                 continue;
             };
             let choice = frame.enabled[index];
-            let info = state.apply(choice);
+            let info = state.apply_reusing(choice, self.spare_emitted.pop().unwrap_or_default());
             self.report.transitions += 1;
             if !self.opts.naive {
                 self.plant_backtrack(&mut frames, choice, &info);
@@ -752,10 +757,14 @@ impl Explorer {
             };
             let step = frame.chosen.take().expect("ancestor frames have chosen");
             frame.done |= bit(step.index);
+            self.spare_emitted.push(step.info.emitted);
             if self.pick(frame).is_some() {
                 state.reset();
                 for f in &frames[..frames.len() - 1] {
-                    state.apply(f.chosen.as_ref().expect("prefix frame").choice);
+                    let choice = f.chosen.as_ref().expect("prefix frame").choice;
+                    let spare = self.spare_emitted.pop().unwrap_or_default();
+                    self.spare_emitted
+                        .push(state.apply_reusing(choice, spare).emitted);
                 }
                 return true;
             }

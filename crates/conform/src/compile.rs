@@ -106,8 +106,8 @@ pub fn compile_model_thread(ops: &[ModelOp], pool: &[u64], jitter: u32) -> Progr
 /// Lowers one model thread to the coherence-layer [`CoreOp`] sequence
 /// the model checker's scheduler executes directly — the same
 /// pool-indexed address mapping as [`compile_model_thread`], minus the
-/// TVM register conventions (the checker's store-buffer shim records
-/// observations itself, so no observation registers are needed).
+/// TVM register conventions (the checker's thread shims record
+/// observations themselves, so no observation registers are needed).
 ///
 /// # Panics
 ///

@@ -17,13 +17,15 @@
 //!   nondeterminism, no more and no less. The queues sit in one dense
 //!   table whose index order is [`Channel`] order, so deliveries are
 //!   enumerated in ascending channel order.
-//! - **The core pipeline becomes an explicit TSO store-buffer shim.**
-//!   Each thread runs a list of [`CoreOp`]s: stores enter a FIFO
-//!   buffer (its own transition), buffered stores drain to the L1 as a
+//! - **The core pipeline becomes a thread shim around the timed core's
+//!   own store buffer.** Each thread runs a list of [`CoreOp`]s through
+//!   a [`StoreBuffer`], the one [`tsocc_cpu::Core`] drains: stores enter
+//!   it (their own transition), its head is offered to the L1 as a
 //!   *separate* transition (TSO's store→load relaxation, mirroring the
 //!   flush transition of `tsocc_workloads::tso_model`), loads forward
-//!   from the youngest matching buffer entry or bypass to the L1, and
-//!   fences/RMWs wait for an empty buffer.
+//!   from it or bypass to the L1, and fences/RMWs wait for it to empty.
+//!   So every forwarding or drain-order fault in the buffer is a fault
+//!   the exhaustive search can reach.
 //! - **Time is frozen at [`Cycle::ZERO`].** Latencies (tag arrays, L2,
 //!   memory) only order events in the timed simulator; here ordering
 //!   *is* the transition sequence, so every internal latency is zero
@@ -53,7 +55,8 @@ use tsocc_coherence::{
     Agent, CacheController, CoherenceDiscipline, Completion, CoreOp, L1Controller, L2Controller,
     LineAccess, MachineShape, MemCtrl, Msg, NetMsg, ProtocolHandle, Submit,
 };
-use tsocc_mem::{LineAddr, MainMemory};
+use tsocc_cpu::StoreBuffer;
+use tsocc_mem::{Addr, LineAddr, MainMemory};
 use tsocc_noc::VNet;
 use tsocc_sim::Cycle;
 
@@ -186,9 +189,10 @@ pub enum Choice {
         /// The issuing thread (= core = L1 index).
         thread: usize,
     },
-    /// Thread `thread` drains its oldest buffered store to the L1 —
-    /// the store becomes globally orderable here, later than its
-    /// program position: the TSO relaxation.
+    /// Thread `thread` offers its store buffer's head to the L1
+    /// ([`StoreBuffer::offer_head`]) — the store becomes globally
+    /// orderable here, later than its program position: the TSO
+    /// relaxation.
     Drain {
         /// The draining thread.
         thread: usize,
@@ -212,79 +216,9 @@ pub struct StepInfo {
     /// The cache line the transition concerned, when it names one
     /// (the delivered message's line, or the issued op's line).
     pub line: Option<LineAddr>,
-    /// Channels this transition pushed messages into (in order, with
-    /// duplicates collapsed).
-    pub emitted: Emitted,
-}
-
-/// How many channels an [`Emitted`] list holds before it spills to the
-/// heap. No transition of the two-thread litmus family pushes into
-/// more.
-const EMITTED_INLINE: usize = 4;
-
-/// The channels one transition pushed messages into, in first-push
-/// order with duplicates collapsed. Up to four are stored inline, so
-/// recording a transition allocates nothing; a longer list spills to
-/// the heap. Dereferences to a slice.
-#[derive(Clone)]
-pub struct Emitted {
-    len: usize,
-    inline: [Channel; EMITTED_INLINE],
-    /// Every channel, once there are more than [`EMITTED_INLINE`].
-    spill: Vec<Channel>,
-}
-
-impl Emitted {
-    fn new() -> Self {
-        const UNUSED: Channel = (Agent::L1(0), Agent::L1(0), VNet::Request);
-        Emitted {
-            len: 0,
-            inline: [UNUSED; EMITTED_INLINE],
-            spill: Vec::new(),
-        }
-    }
-
-    /// Appends `channel` unless the list already holds it.
-    fn insert(&mut self, channel: Channel) {
-        if self.contains(&channel) {
-            return;
-        }
-        if self.len < EMITTED_INLINE {
-            self.inline[self.len] = channel;
-        } else {
-            if self.len == EMITTED_INLINE {
-                self.spill.extend_from_slice(&self.inline);
-            }
-            self.spill.push(channel);
-        }
-        self.len += 1;
-    }
-}
-
-impl std::ops::Deref for Emitted {
-    type Target = [Channel];
-
-    fn deref(&self) -> &[Channel] {
-        if self.len <= EMITTED_INLINE {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
-        }
-    }
-}
-
-impl PartialEq for Emitted {
-    fn eq(&self, other: &Emitted) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for Emitted {}
-
-impl std::fmt::Debug for Emitted {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
+    /// Channels this transition pushed messages into, in first-push
+    /// order with duplicates collapsed.
+    pub emitted: Vec<Channel>,
 }
 
 /// Why [`ScheduledSystem::enabled`] came back empty.
@@ -299,29 +233,15 @@ pub enum Terminal {
     Deadlock,
 }
 
-/// What a thread is waiting on after a `Submit::Miss`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Waiting {
-    /// A load miss: the completion value is observed.
-    Load,
-    /// An RMW miss: the completion (old) value is observed.
-    Rmw,
-}
-
-/// The explicit TSO store-buffer shim standing in for one core
-/// pipeline.
+/// One thread's program sequencing over [`CoreOp`]s, standing in for
+/// a core pipeline around its [`StoreBuffer`].
 #[derive(Debug)]
 struct ThreadShim {
     ops: Vec<CoreOp>,
     pc: usize,
-    /// FIFO store buffer: `(addr, value)`, oldest first.
-    buffer: VecDeque<(tsocc_mem::Addr, u64)>,
-    /// The buffer head was accepted by the L1 (`Submit::Miss`) and
-    /// awaits its `Completion::Store`; it stays forwardable but no
-    /// further store may drain past it (TSO stores commit in order).
-    head_issued: bool,
-    /// An outstanding load/RMW miss.
-    waiting: Option<Waiting>,
+    buffer: StoreBuffer,
+    /// An outstanding load/RMW miss awaits its value.
+    waiting: bool,
     /// `Issue`/`Drain` returned `Submit::Retry`; cleared by the next
     /// message delivery to this thread's L1.
     issue_blocked: bool,
@@ -331,13 +251,12 @@ struct ThreadShim {
 }
 
 impl ThreadShim {
-    fn new(ops: Vec<CoreOp>) -> Self {
+    fn new(ops: Vec<CoreOp>, buffer_entries: usize) -> Self {
         ThreadShim {
             ops,
             pc: 0,
-            buffer: VecDeque::new(),
-            head_issued: false,
-            waiting: None,
+            buffer: StoreBuffer::new(buffer_entries),
+            waiting: false,
             issue_blocked: false,
             drain_blocked: false,
             observed: Vec::new(),
@@ -352,7 +271,6 @@ impl ThreadShim {
             ops: _,
             pc,
             buffer,
-            head_issued,
             waiting,
             issue_blocked,
             drain_blocked,
@@ -360,24 +278,14 @@ impl ThreadShim {
         } = self;
         *pc = 0;
         buffer.clear();
-        *head_issued = false;
-        *waiting = None;
+        *waiting = false;
         *issue_blocked = false;
         *drain_blocked = false;
         observed.clear();
     }
 
     fn done(&self) -> bool {
-        self.pc == self.ops.len() && self.buffer.is_empty() && self.waiting.is_none()
-    }
-
-    /// Youngest buffered store to `addr`, if any (x86-TSO forwarding).
-    fn forward(&self, addr: tsocc_mem::Addr) -> Option<u64> {
-        self.buffer
-            .iter()
-            .rev()
-            .find(|(a, _)| *a == addr)
-            .map(|&(_, v)| v)
+        self.pc == self.ops.len() && self.buffer.is_empty() && !self.waiting
     }
 }
 
@@ -415,8 +323,8 @@ impl Scheduler for ReplaySchedule {
 /// The machine rebuilt around explicit scheduling: the configured
 /// protocol's own L1/L2/memory controllers (built through the same
 /// [`tsocc_coherence::ProtocolFactory`] seam as [`crate::System`]),
-/// FIFO channels in place of the mesh, and store-buffer shims in place
-/// of the core pipelines.
+/// FIFO channels in place of the mesh, and thread shims around the
+/// timed core's [`StoreBuffer`] in place of the core pipelines.
 ///
 /// One machine serves a whole search: [`Self::reset`] returns it to the
 /// state [`Self::new`] built, so backtracking allocates no new machine,
@@ -431,7 +339,6 @@ pub struct ScheduledSystem {
     mems: Vec<MemCtrl>,
     channels: ChannelTable,
     threads: Vec<ThreadShim>,
-    wb_capacity: usize,
     discipline: CoherenceDiscipline,
     transitions: u64,
     scratch_msgs: Vec<NetMsg>,
@@ -466,8 +373,10 @@ impl ScheduledSystem {
             l2s: Vec::new(),
             mems: Vec::new(),
             channels: ChannelTable::new(&shape),
-            threads: programs.into_iter().map(ThreadShim::new).collect(),
-            wb_capacity: cfg.core.write_buffer_entries,
+            threads: programs
+                .into_iter()
+                .map(|ops| ThreadShim::new(ops, cfg.core.write_buffer_entries))
+                .collect(),
             discipline: cfg.protocol.coherence_discipline(),
             transitions: 0,
             scratch_msgs: Vec::new(),
@@ -513,10 +422,10 @@ impl ScheduledSystem {
     pub fn enabled_into(&self, out: &mut Vec<Choice>) {
         out.clear();
         for (t, th) in self.threads.iter().enumerate() {
-            if th.waiting.is_none() && th.pc < th.ops.len() {
+            if !th.waiting && th.pc < th.ops.len() {
                 let ok = match th.ops[th.pc] {
-                    CoreOp::Store(..) => th.buffer.len() < self.wb_capacity,
-                    CoreOp::Load(addr) => th.forward(addr).is_some() || !th.issue_blocked,
+                    CoreOp::Store(..) => th.buffer.has_room(),
+                    CoreOp::Load(addr) => th.buffer.forward(addr).is_some() || !th.issue_blocked,
                     CoreOp::Fence => th.buffer.is_empty(),
                     CoreOp::Rmw(..) => th.buffer.is_empty() && !th.issue_blocked,
                 };
@@ -526,18 +435,13 @@ impl ScheduledSystem {
             }
         }
         for (t, th) in self.threads.iter().enumerate() {
-            if !th.buffer.is_empty() && !th.head_issued && !th.drain_blocked {
+            if th.buffer.can_offer() && !th.drain_blocked {
                 out.push(Choice::Drain { thread: t });
             }
         }
         out.extend(self.channels.occupied().map(|i| Choice::Deliver {
             channel: self.channels.channel(i),
         }));
-    }
-
-    /// Classifies an empty enabled set; `None` while choices remain.
-    pub fn terminal(&self) -> Option<Terminal> {
-        self.enabled().is_empty().then(|| self.stuck())
     }
 
     /// Classifies a state the caller already found to have an empty
@@ -553,106 +457,77 @@ impl ScheduledSystem {
     /// Applies one choice (which must currently be enabled) and settles
     /// the touched controller.
     pub fn apply(&mut self, choice: Choice) -> StepInfo {
+        self.apply_reusing(choice, Vec::new())
+    }
+
+    /// [`Self::apply`] that writes [`StepInfo::emitted`] into `emitted`
+    /// (cleared first), so a caller applying many choices can recycle
+    /// the list of a step it no longer needs.
+    pub fn apply_reusing(&mut self, choice: Choice, mut emitted: Vec<Channel>) -> StepInfo {
+        emitted.clear();
         self.transitions += 1;
-        match choice {
-            Choice::Issue { thread } => self.apply_issue(thread),
-            Choice::Drain { thread } => self.apply_drain(thread),
-            Choice::Deliver { channel } => self.apply_deliver(channel),
-        }
-    }
-
-    fn apply_issue(&mut self, t: usize) -> StepInfo {
-        let op = self.threads[t].ops[self.threads[t].pc];
-        let ctrl = Agent::L1(t);
-        match op {
-            CoreOp::Store(addr, value) => {
-                let th = &mut self.threads[t];
-                th.buffer.push_back((addr, value));
-                th.pc += 1;
-                StepInfo {
-                    ctrl,
-                    line: Some(addr.line()),
-                    emitted: Emitted::new(),
-                }
-            }
-            CoreOp::Load(addr) => {
-                if let Some(v) = self.threads[t].forward(addr) {
-                    let th = &mut self.threads[t];
-                    th.observed.push(v);
-                    th.pc += 1;
-                    return StepInfo {
-                        ctrl,
-                        line: Some(addr.line()),
-                        emitted: Emitted::new(),
-                    };
-                }
-                match self.l1s[t].submit(Cycle::ZERO, op) {
-                    Submit::Hit(v) => {
-                        let th = &mut self.threads[t];
-                        th.observed.push(v);
-                        th.pc += 1;
-                    }
-                    Submit::Miss => self.threads[t].waiting = Some(Waiting::Load),
-                    Submit::Retry => self.threads[t].issue_blocked = true,
-                }
-                let emitted = self.settle(ctrl);
-                StepInfo {
-                    ctrl,
-                    line: Some(addr.line()),
-                    emitted,
-                }
-            }
-            CoreOp::Fence => {
-                match self.l1s[t].submit(Cycle::ZERO, op) {
-                    Submit::Hit(_) => self.threads[t].pc += 1,
-                    other => panic!("fence submit returned {other:?}"),
-                }
-                let emitted = self.settle(ctrl);
-                StepInfo {
-                    ctrl,
-                    line: None,
-                    emitted,
-                }
-            }
-            CoreOp::Rmw(addr, _) => {
-                match self.l1s[t].submit(Cycle::ZERO, op) {
-                    Submit::Hit(old) => {
-                        let th = &mut self.threads[t];
-                        th.observed.push(old);
-                        th.pc += 1;
-                    }
-                    Submit::Miss => self.threads[t].waiting = Some(Waiting::Rmw),
-                    Submit::Retry => self.threads[t].issue_blocked = true,
-                }
-                let emitted = self.settle(ctrl);
-                StepInfo {
-                    ctrl,
-                    line: Some(addr.line()),
-                    emitted,
-                }
-            }
-        }
-    }
-
-    fn apply_drain(&mut self, t: usize) -> StepInfo {
-        let ctrl = Agent::L1(t);
-        let (addr, value) = *self.threads[t].buffer.front().expect("drain needs a store");
-        match self.l1s[t].submit(Cycle::ZERO, CoreOp::Store(addr, value)) {
-            Submit::Hit(_) => {
-                self.threads[t].buffer.pop_front();
-            }
-            Submit::Miss => self.threads[t].head_issued = true,
-            Submit::Retry => self.threads[t].drain_blocked = true,
-        }
-        let emitted = self.settle(ctrl);
+        let (ctrl, line) = match choice {
+            Choice::Issue { thread } => (Agent::L1(thread), self.apply_issue(thread, &mut emitted)),
+            Choice::Drain { thread } => (Agent::L1(thread), self.apply_drain(thread, &mut emitted)),
+            Choice::Deliver { channel } => (channel.1, self.apply_deliver(channel, &mut emitted)),
+        };
         StepInfo {
             ctrl,
-            line: Some(addr.line()),
+            line,
             emitted,
         }
     }
 
-    fn apply_deliver(&mut self, channel: Channel) -> StepInfo {
+    /// Issues thread `t`'s next op: a store enters the store buffer, a
+    /// load forwards from it if it can, and every other op goes to the
+    /// L1. Returns the op's line.
+    fn apply_issue(&mut self, t: usize, emitted: &mut Vec<Channel>) -> Option<LineAddr> {
+        let th = &mut self.threads[t];
+        let op = th.ops[th.pc];
+        let line = op.addr().map(Addr::line);
+        let forwarded = match op {
+            CoreOp::Store(addr, value) => {
+                th.buffer.push(addr, value);
+                th.pc += 1;
+                return line;
+            }
+            CoreOp::Load(addr) => th.buffer.forward(addr),
+            CoreOp::Rmw(..) | CoreOp::Fence => None,
+        };
+        if let Some(v) = forwarded {
+            th.observed.push(v);
+            th.pc += 1;
+            return line;
+        }
+        match self.l1s[t].submit(Cycle::ZERO, op) {
+            Submit::Hit(_) if op == CoreOp::Fence => th.pc += 1,
+            Submit::Hit(v) => {
+                th.observed.push(v);
+                th.pc += 1;
+            }
+            other if op == CoreOp::Fence => panic!("fence submit returned {other:?}"),
+            Submit::Miss => th.waiting = true,
+            Submit::Retry => th.issue_blocked = true,
+        }
+        self.settle(Agent::L1(t), emitted);
+        line
+    }
+
+    /// Offers thread `t`'s store-buffer head to its L1. Returns the
+    /// store's line.
+    fn apply_drain(&mut self, t: usize, emitted: &mut Vec<Channel>) -> Option<LineAddr> {
+        let th = &mut self.threads[t];
+        let (addr, answer) = th
+            .buffer
+            .offer_head(Cycle::ZERO, self.l1s[t].as_mut())
+            .expect("drain needs a store to offer");
+        th.drain_blocked = answer == Submit::Retry;
+        self.settle(Agent::L1(t), emitted);
+        Some(addr.line())
+    }
+
+    /// Delivers `channel`'s head message. Returns the message's line.
+    fn apply_deliver(&mut self, channel: Channel, emitted: &mut Vec<Channel>) -> Option<LineAddr> {
         let (src, dst, _) = channel;
         let msg = self
             .channels
@@ -660,7 +535,7 @@ impl ScheduledSystem {
             .expect("deliver needs a queued message");
         let line = msg.line();
         self.ctrl_mut(dst).handle_message(Cycle::ZERO, src, msg);
-        let emitted = self.settle(dst);
+        self.settle(dst, emitted);
         if let Agent::L1(t) = dst {
             // Only message handling at this L1 can free an MSHR or
             // writeback entry, so a delivery is the one event that can
@@ -669,11 +544,7 @@ impl ScheduledSystem {
             self.threads[t].drain_blocked = false;
             self.route_completions(t);
         }
-        StepInfo {
-            ctrl: dst,
-            line,
-            emitted,
-        }
+        line
     }
 
     /// Runs choices from `scheduler` until it stops, no choice is
@@ -748,9 +619,8 @@ impl ScheduledSystem {
     /// Drives `agent` to its internal fixpoint at the frozen time:
     /// replays queued directory requests, flushes the outbox into the
     /// channels, and repeats until the controller reports no
-    /// self-driven work. Returns the channels pushed into.
-    fn settle(&mut self, agent: Agent) -> Emitted {
-        let mut emitted = Emitted::new();
+    /// self-driven work. Adds the channels pushed into to `emitted`.
+    fn settle(&mut self, agent: Agent, emitted: &mut Vec<Channel>) {
         for _ in 0..100_000 {
             let next = match agent {
                 Agent::L1(i) => self.l1s[i].next_event(),
@@ -758,7 +628,7 @@ impl ScheduledSystem {
                 Agent::Mem(j) => self.mems[j].next_event(),
             };
             if next == Cycle::MAX {
-                return emitted;
+                return;
             }
             debug_assert!(next <= Cycle::ZERO, "zero-latency machine woke at {next}");
             let mut out = std::mem::take(&mut self.scratch_msgs);
@@ -770,7 +640,9 @@ impl ScheduledSystem {
             }
             for m in out.drain(..) {
                 let key = (m.src, m.dst, m.msg.vnet());
-                emitted.insert(key);
+                if !emitted.contains(&key) {
+                    emitted.push(key);
+                }
                 self.channels.push(key, m.msg);
             }
             self.scratch_msgs = out;
@@ -783,20 +655,16 @@ impl ScheduledSystem {
         let mut done = std::mem::take(&mut self.scratch_completions);
         done.clear();
         self.l1s[t].drain_completions(&mut done);
+        let th = &mut self.threads[t];
         for c in done.drain(..) {
-            let th = &mut self.threads[t];
             match c {
                 Completion::Load(v) => {
-                    let waiting = th.waiting.take().expect("load completion without a miss");
-                    debug_assert!(matches!(waiting, Waiting::Load | Waiting::Rmw));
+                    assert!(th.waiting, "load completion without a miss");
+                    th.waiting = false;
                     th.observed.push(v);
                     th.pc += 1;
                 }
-                Completion::Store => {
-                    debug_assert!(th.head_issued, "store completion without a drained store");
-                    th.buffer.pop_front();
-                    th.head_issued = false;
-                }
+                Completion::Store => th.buffer.complete(),
             }
         }
         self.scratch_completions = done;
@@ -906,7 +774,7 @@ mod tests {
     }
 
     fn pending_load(s: &ScheduledSystem, t: usize) -> bool {
-        s.threads[t].waiting.is_some()
+        s.threads[t].waiting
     }
 
     #[test]
@@ -968,7 +836,7 @@ mod tests {
             trace.push(c);
             s.apply(c);
         }
-        assert_eq!(s.terminal(), Some(Terminal::Done));
+        assert_eq!(s.stuck(), Terminal::Done);
         let mut replayed = sys(Protocol::Mesi, programs());
         let end = replayed.run(&mut ReplaySchedule::new(trace), 100_000);
         assert_eq!(end, Some(Terminal::Done));
@@ -987,8 +855,12 @@ mod tests {
 
     /// Steps `reset` and `fresh` through one random schedule in
     /// lockstep, requiring every observable to agree at every step.
+    /// `reset` records each step into the previous step's recycled
+    /// `emitted` list, which must come back as a new one would, with no
+    /// channel listed twice.
     fn lockstep(reset: &mut ScheduledSystem, fresh: &mut ScheduledSystem, seed: u64, what: &str) {
         let mut pick = RandomChoice(SplitMix64::new(seed));
+        let mut recycled = Vec::new();
         loop {
             let enabled = fresh.enabled();
             let step = fresh.transitions();
@@ -997,11 +869,21 @@ mod tests {
                 break;
             }
             let c = enabled[pick.pick(&enabled).unwrap()];
+            let info = fresh.apply(c);
             assert_eq!(
-                reset.apply(c),
-                fresh.apply(c),
+                reset.apply_reusing(c, recycled),
+                info,
                 "{what}: {c:?} at step {step}"
             );
+            let mut channels = info.emitted.clone();
+            channels.sort_unstable();
+            channels.dedup();
+            assert_eq!(
+                channels.len(),
+                info.emitted.len(),
+                "{what}: {c:?} at step {step} lists a channel twice: {info:?}"
+            );
+            recycled = info.emitted;
         }
         assert_eq!(reset.outcome(), fresh.outcome(), "{what}: outcome()");
         assert_eq!(reset.stuck(), fresh.stuck(), "{what}: stuck()");
@@ -1177,22 +1059,5 @@ mod tests {
             );
             assert!(mixed, "{cores} cores: never two vnets queued at once");
         }
-    }
-
-    #[test]
-    fn emitted_keeps_first_push_order_past_its_inline_capacity() {
-        let ch = |i| (Agent::L1(i), Agent::L2(0), VNet::Request);
-        let mut emitted = Emitted::new();
-        for i in [0, 1, 0, 2, 3, 1] {
-            emitted.insert(ch(i));
-        }
-        assert_eq!(*emitted, [ch(0), ch(1), ch(2), ch(3)]);
-        assert!(emitted.spill.is_empty(), "four channels fit inline");
-        for i in [4, 2, 5, 4] {
-            emitted.insert(ch(i));
-        }
-        assert_eq!(*emitted, [ch(0), ch(1), ch(2), ch(3), ch(4), ch(5)]);
-        assert!(emitted.contains(&ch(5)) && !emitted.contains(&ch(6)));
-        assert_eq!(format!("{emitted:?}"), format!("{:?}", &*emitted));
     }
 }

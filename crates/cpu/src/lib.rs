@@ -5,17 +5,21 @@
 //! Each simulated core executes one TVM program with the standard
 //! operational TSO semantics (Sewell et al., "x86-TSO"):
 //!
-//! - stores retire into a **FIFO write buffer** (32 entries, Table 2)
-//!   and drain to the L1 in program order, one outstanding store at a
-//!   time (the next store issues only after the previous one's state
-//!   change is acknowledged — this is what gives TSO-CC its `w → w`
-//!   ordering, paper §3.1),
-//! - loads **bypass the write buffer**: a load first forwards from the
+//! - stores retire into a **FIFO store buffer** ([`StoreBuffer`], 32
+//!   entries, Table 2) and drain to the L1 in program order, one
+//!   outstanding store at a time (the next store issues only after the
+//!   previous one's state change is acknowledged — this is what gives
+//!   TSO-CC its `w → w` ordering, paper §3.1),
+//! - loads **bypass the store buffer**: a load first forwards from the
 //!   youngest matching buffered store, otherwise accesses the L1 and
 //!   blocks the thread until the value returns (`r → r` and `r → w`
 //!   order),
-//! - **fences** and **RMWs** drain the write buffer before executing;
-//!   RMWs are atomic at the L1.
+//! - **fences** and **RMWs** wait for the store buffer to drain before
+//!   executing; RMWs are atomic at the L1.
+//!
+//! The model checker (`tsocc::scheduler`) drives the same
+//! [`StoreBuffer`] through its thread shims, so the buffer the timed
+//! simulator runs is the buffer the checker explores exhaustively.
 //!
 //! Timing is one instruction issue per cycle; a load or RMW that hits
 //! in the L1 stalls the thread for the hit latency, and `Delay` /
@@ -27,15 +31,15 @@
 //! the core's own PRNG) at the cycle it would have issued, and then
 //! wakes once, at the cycle the next memory operation, `Halt` or the
 //! end of the program issues. Nothing outside the core can observe the
-//! run-ahead, so every L1 submit, write-buffer push and
+//! run-ahead, so every L1 submit, store-buffer push and
 //! [`Core::is_done`] change happens at the same cycle as under
 //! one-instruction-per-tick stepping.
 //!
-//! Substitution note (DESIGN.md §2): the paper's cores are simple
-//! out-of-order with a 40-entry ROB. The consistency-relevant behaviour
-//! of such a core is exactly the in-order-issue + store-buffer model
-//! implemented here; store-side memory-level parallelism is retained
-//! (the buffer drains while the core keeps executing).
+//! Substitution note: the paper's cores are simple out-of-order with a
+//! 40-entry ROB. The consistency-relevant behaviour of such a core is
+//! exactly the in-order-issue + store-buffer model implemented here;
+//! store-side memory-level parallelism is retained (the buffer drains
+//! while the core keeps executing).
 
 use std::collections::VecDeque;
 
@@ -95,11 +99,11 @@ enum Pending {
     WaitLoad { issued: Cycle },
     /// Blocked on an L1 RMW miss.
     WaitRmw { issued: Cycle },
-    /// RMW waiting for the write buffer to drain.
+    /// RMW waiting for the store buffer to drain.
     DrainForRmw { addr: Addr, op: tsocc_isa::RmwOp },
-    /// Fence waiting for the write buffer to drain.
+    /// Fence waiting for the store buffer to drain.
     DrainForFence,
-    /// Store stalled on a full write buffer.
+    /// Store stalled on a full store buffer.
     WbFull { addr: Addr, value: u64 },
     /// The next instruction issues at the given cycle: the one after an
     /// L1 hit or a delay, or the first one a run-ahead left for its own
@@ -131,12 +135,116 @@ fn is_thread_private(instr: &Instr) -> bool {
     )
 }
 
-/// One simulated core: thread state, write buffer and pipeline control.
+/// The x86-TSO store buffer (Sewell et al., CACM 2010): a FIFO of
+/// retired stores, oldest first, that drains to the L1 in program order
+/// with at most one store in flight.
+///
+/// An in-flight head — offered to the L1, answered [`Submit::Miss`],
+/// awaiting its [`Completion::Store`] — stays in the FIFO: loads still
+/// forward from it, no younger store is offered past it, and the buffer
+/// is empty only once it completes.
+///
+/// Each [`Core`] drains one, and the model checker's thread shims
+/// (`tsocc::scheduler`) drive the same type, so the checker explores
+/// exactly the buffer the timed simulator runs.
+#[derive(Debug)]
+pub struct StoreBuffer {
+    stores: VecDeque<(Addr, u64)>,
+    capacity: usize,
+    head_in_flight: bool,
+}
+
+impl StoreBuffer {
+    /// An empty buffer of `capacity` entries.
+    pub fn new(capacity: usize) -> Self {
+        StoreBuffer {
+            stores: VecDeque::new(),
+            capacity,
+            head_in_flight: false,
+        }
+    }
+
+    /// Whether a store can be pushed.
+    pub fn has_room(&self) -> bool {
+        self.stores.len() < self.capacity
+    }
+
+    /// Buffers a retired store; the caller checked [`Self::has_room`].
+    pub fn push(&mut self, addr: Addr, value: u64) {
+        debug_assert!(self.has_room(), "push into a full store buffer");
+        self.stores.push_back((addr, value));
+    }
+
+    /// The youngest buffered store to `addr`, if any (TSO load
+    /// forwarding).
+    pub fn forward(&self, addr: Addr) -> Option<u64> {
+        self.stores
+            .iter()
+            .rev()
+            .find(|(a, _)| *a == addr)
+            .map(|&(_, v)| v)
+    }
+
+    /// Whether [`Self::offer_head`] would submit: a store is buffered
+    /// and none is in flight.
+    pub fn can_offer(&self) -> bool {
+        !self.head_in_flight && !self.stores.is_empty()
+    }
+
+    /// Submits the head store to `l1` at `now` unless it is in flight:
+    /// pops it on [`Submit::Hit`], marks it in flight on
+    /// [`Submit::Miss`] and keeps it on [`Submit::Retry`]. Returns the
+    /// offered store's address and the L1's answer, or `None` when there
+    /// was nothing to offer.
+    pub fn offer_head(&mut self, now: Cycle, l1: &mut dyn L1Controller) -> Option<(Addr, Submit)> {
+        if self.head_in_flight {
+            return None;
+        }
+        let &(addr, value) = self.stores.front()?;
+        let answer = l1.submit(now, CoreOp::Store(addr, value));
+        match answer {
+            Submit::Hit(_) => {
+                self.stores.pop_front();
+            }
+            Submit::Miss => self.head_in_flight = true,
+            Submit::Retry => {}
+        }
+        Some((addr, answer))
+    }
+
+    /// Retires the in-flight head on its [`Completion::Store`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no store is in flight.
+    pub fn complete(&mut self) {
+        assert!(
+            self.head_in_flight,
+            "store completion with no store in flight"
+        );
+        self.head_in_flight = false;
+        self.stores.pop_front();
+    }
+
+    /// Whether no store is buffered or in flight: what fences and RMWs
+    /// wait for.
+    pub fn is_empty(&self) -> bool {
+        self.stores.is_empty()
+    }
+
+    /// Empties the buffer, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.stores.clear();
+        self.head_in_flight = false;
+    }
+}
+
+/// One simulated core: thread state, store buffer and pipeline control.
 ///
 /// Drive it with [`Core::tick`] at every cycle [`Core::next_event`]
 /// names (or simply every cycle), passing the core's L1 controller and
 /// the run's stop cycle. The core is finished when [`Core::is_done`] —
-/// the thread has halted *and* the write buffer has fully drained.
+/// the thread has halted *and* the store buffer has fully drained.
 #[derive(Debug)]
 pub struct Core {
     id: usize,
@@ -145,11 +253,7 @@ pub struct Core {
     cfg: CoreConfig,
     rng: Xoshiro256StarStar,
     pending: Pending,
-    /// FIFO write buffer; the head may be in flight at the L1.
-    write_buffer: VecDeque<(Addr, u64)>,
-    /// Whether the head of the write buffer has been accepted by the L1
-    /// and awaits completion.
-    store_inflight: bool,
+    store_buffer: StoreBuffer,
     /// Scratch buffer handed to `L1Controller::drain_completions` every
     /// tick, so the core↔L1 boundary allocates nothing per cycle.
     completions: Vec<Completion>,
@@ -166,8 +270,7 @@ impl Core {
             cfg,
             rng: Xoshiro256StarStar::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9)),
             pending: Pending::None,
-            write_buffer: VecDeque::new(),
-            store_inflight: false,
+            store_buffer: StoreBuffer::new(cfg.write_buffer_entries),
             completions: Vec::new(),
             stats: CoreStats::default(),
         }
@@ -192,8 +295,7 @@ impl Core {
     /// Whether the thread has halted and all stores have drained.
     pub fn is_done(&self) -> bool {
         self.thread.is_halted()
-            && self.write_buffer.is_empty()
-            && !self.store_inflight
+            && self.store_buffer.is_empty()
             && matches!(self.pending, Pending::None)
     }
 
@@ -215,25 +317,25 @@ impl Core {
         if self.is_done() {
             return Cycle::MAX;
         }
-        // The write-buffer head is (re)submitted on every tick while no
+        // The store-buffer head is (re)submitted on every tick while no
         // store is in flight; a submit can change L1 state (MSHR
         // allocation, recency), so those cycles must actually run.
-        if !self.store_inflight && !self.write_buffer.is_empty() {
+        if self.store_buffer.can_offer() {
             return now;
         }
         match self.pending {
             // Blocked on an outstanding L1 transaction: only a message
             // delivery (a separate wake source) can unblock.
             Pending::WaitLoad { .. } | Pending::WaitRmw { .. } => Cycle::MAX,
-            // Waiting on the write buffer: with buffered stores the
-            // head-submit rule above applies; otherwise the in-flight
-            // store must complete first (message-driven), except when
-            // the buffer already drained and the op issues next tick.
+            // Waiting on the store buffer: a head to offer returned
+            // above, so a non-empty buffer has its head in flight, which
+            // must complete first (message-driven); an empty one lets
+            // the op issue this tick.
             Pending::DrainForRmw { .. } | Pending::DrainForFence => {
-                if self.store_inflight {
-                    Cycle::MAX
-                } else {
+                if self.store_buffer.is_empty() {
                     now
+                } else {
+                    Cycle::MAX
                 }
             }
             Pending::IssueAt(t) => t.max(now),
@@ -252,17 +354,8 @@ impl Core {
         }
     }
 
-    /// Youngest buffered store to `addr`, if any (TSO load forwarding).
-    fn forward_from_wb(&self, addr: Addr) -> Option<u64> {
-        self.write_buffer
-            .iter()
-            .rev()
-            .find(|(a, _)| *a == addr)
-            .map(|&(_, v)| v)
-    }
-
     /// Advances the core against its L1 at cycle `now`: collects L1
-    /// completions, offers the write-buffer head to the L1, issues the
+    /// completions, offers the store-buffer head to the L1, issues the
     /// instruction due at `now` (if any), and then runs ahead.
     ///
     /// The run-ahead executes each following thread-private instruction
@@ -297,31 +390,13 @@ impl Core {
                     }
                     ref other => panic!("core {}: load completion while {:?}", self.id, other),
                 },
-                Completion::Store => {
-                    assert!(
-                        self.store_inflight,
-                        "core {}: spurious store completion",
-                        self.id
-                    );
-                    self.store_inflight = false;
-                    self.write_buffer.pop_front();
-                }
+                Completion::Store => self.store_buffer.complete(),
             }
         }
         self.completions = completions;
 
-        // 2. Drain the write buffer: issue the head store if idle.
-        if !self.store_inflight {
-            if let Some(&(addr, value)) = self.write_buffer.front() {
-                match l1.submit(now, CoreOp::Store(addr, value)) {
-                    Submit::Hit(_) => {
-                        self.write_buffer.pop_front();
-                    }
-                    Submit::Miss => self.store_inflight = true,
-                    Submit::Retry => {}
-                }
-            }
-        }
+        // 2. Drain the store buffer: offer its head unless in flight.
+        self.store_buffer.offer_head(now, l1);
 
         // 3. Advance the pipeline.
         match self.pending.clone() {
@@ -333,20 +408,20 @@ impl Core {
                 }
             }
             Pending::WbFull { addr, value } => {
-                if self.write_buffer.len() < self.cfg.write_buffer_entries {
-                    self.write_buffer.push_back((addr, value));
+                if self.store_buffer.has_room() {
+                    self.store_buffer.push(addr, value);
                     self.pending = Pending::None;
                 } else {
                     self.stats.wb_full_stalls.inc();
                 }
             }
             Pending::DrainForRmw { addr, op } => {
-                if self.write_buffer.is_empty() && !self.store_inflight {
+                if self.store_buffer.is_empty() {
                     self.issue_rmw(now, l1, addr, op);
                 }
             }
             Pending::DrainForFence => {
-                if self.write_buffer.is_empty() && !self.store_inflight {
+                if self.store_buffer.is_empty() {
                     match l1.submit(now, CoreOp::Fence) {
                         Submit::Hit(_) => self.pending = Pending::None,
                         Submit::Miss => panic!("fences complete immediately at the L1"),
@@ -422,7 +497,7 @@ impl Core {
             Effect::Mem(MemOp::Load { addr }) => {
                 self.stats.loads.inc();
                 let addr = Addr::new(addr);
-                if let Some(value) = self.forward_from_wb(addr) {
+                if let Some(value) = self.store_buffer.forward(addr) {
                     // TSO: reads must see the core's own buffered stores.
                     self.stats.wb_forwards.inc();
                     self.thread.complete_load(value);
@@ -433,8 +508,8 @@ impl Core {
             Effect::Mem(MemOp::Store { addr, value }) => {
                 self.stats.stores.inc();
                 let addr = Addr::new(addr);
-                if self.write_buffer.len() < self.cfg.write_buffer_entries {
-                    self.write_buffer.push_back((addr, value));
+                if self.store_buffer.has_room() {
+                    self.store_buffer.push(addr, value);
                 } else {
                     self.stats.wb_full_stalls.inc();
                     self.pending = Pending::WbFull { addr, value };

@@ -184,9 +184,20 @@ fn stores_drain_in_fifo_order() {
         })
         .collect();
     assert_eq!(stores, vec![0x100, 0x108, 0x110, 0x118, 0x120]);
-    // One at a time: only one store may be in flight, so the program
-    // ends only after 5 * 17 cycles of store draining.
     assert_eq!(l1.mem[&0x120], 14);
+    // One at a time: only one store may be in flight, so each store is
+    // submitted no earlier than the previous one's 17-cycle miss ends.
+    let submits: Vec<u64> = l1
+        .log
+        .iter()
+        .zip(&l1.log_at)
+        .filter(|(op, _)| matches!(op, CoreOp::Store(..)))
+        .map(|(_, at)| at.as_u64())
+        .collect();
+    assert!(
+        submits.windows(2).all(|w| w[1] - w[0] >= 17),
+        "store submits at {submits:?}"
+    );
 }
 
 #[test]

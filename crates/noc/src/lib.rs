@@ -16,8 +16,8 @@
 //! - exact flit accounting: injected flits and flit-hops, the metric
 //!   behind the paper's Figure 4 ("network traffic, total flits").
 //!
-//! Substitution note (DESIGN.md §2): GARNET models router microarchitecture
-//! (VC allocation, switch arbitration) flit by flit. We model message
+//! Substitution note: GARNET models router microarchitecture (VC
+//! allocation, switch arbitration) flit by flit. We model message
 //! timing hop-by-hop with per-link busy tracking, which preserves
 //! serialization and queueing delay — the first-order contention effects —
 //! at a fraction of the simulation cost.

@@ -1,11 +1,11 @@
 //! The paper's Table 3 benchmark suite as synthetic kernels.
 //!
 //! Each kernel reproduces the *sharing pattern* of its namesake (see
-//! DESIGN.md §3): the private/shared access mix, the synchronization
-//! style (barriers, locks, pipelines, transactions) and the pathologies
-//! the paper highlights (false sharing in non-contiguous `lu`, the
-//! write-miss-heavy permutation of `radix`, the SharedRO-dominated
-//! `raytrace`/`blackscholes`).
+//! the substitution note in the [`crate`] docs): the private/shared
+//! access mix, the synchronization style (barriers, locks, pipelines,
+//! transactions) and the pathologies the paper highlights (false
+//! sharing in non-contiguous `lu`, the write-miss-heavy permutation of
+//! `radix`, the SharedRO-dominated `raytrace`/`blackscholes`).
 
 use tsocc_isa::{Asm, Program, Reg};
 

@@ -8,7 +8,7 @@
 //! cached flags, CAS retries really retry, and stale reads (which
 //! TSO-CC deliberately permits) really return stale values.
 //!
-//! Substitution note (DESIGN.md §2/§3): the paper runs the real
+//! Substitution note: the paper runs the real
 //! SPLASH-2/PARSEC/STAMP binaries in gem5 full-system mode. Each kernel
 //! here reproduces the *sharing pattern* the paper reports for its
 //! benchmark — private-compute ratio, shared read-only footprint,

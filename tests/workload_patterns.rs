@@ -1,6 +1,6 @@
 //! Validates that each synthetic kernel actually produces the sharing
-//! pattern DESIGN.md §3 claims for it — the property that makes the
-//! Figure 3–9 comparisons meaningful.
+//! pattern the `tsocc_workloads::kernels` docs claim for it — the
+//! property that makes the Figure 3–9 comparisons meaningful.
 
 use tsocc::{RunStats, SystemConfig};
 use tsocc_proto::TsoCcConfig;
