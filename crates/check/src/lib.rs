@@ -48,17 +48,27 @@
 //! order-sensitive.) [`CheckReport::reduction`] against a naive run
 //! quantifies the pruning.
 //!
-//! The search is stateless: it keeps the choice prefix, never a machine
-//! snapshot. Each [`check_model`] call builds one
-//! [`tsocc::ScheduledSystem`]; to backtrack, the explorer resets that
-//! machine in place ([`tsocc::ScheduledSystem::reset`]) and re-applies
-//! the prefix. Popped frames hand their enabled lists to new ones,
-//! every applied step records its emitted channels into the list of a
-//! step already undone ([`tsocc::ScheduledSystem::apply_reusing`]), and
-//! the axiom check reuses one buffer, so the explorer's own bookkeeping
-//! allocates nothing per transition; what remains happens inside the
-//! protocol controllers (among it the list each L1's `access_lines`
-//! returns).
+//! Each [`check_model`] call builds one [`tsocc::ScheduledSystem`] and
+//! backtracks it through checkpoints
+//! ([`tsocc::ScheduledSystem::checkpoint`]): the explorer keeps a
+//! `(depth, checkpoint)` entry for some frames of the current path. To
+//! backtrack to depth k it drops the entries deeper than k, restores
+//! the deepest one left (or the root), re-applies the choices between
+//! that checkpoint and k, and takes a checkpoint at k if it re-applied
+//! any. So later backtracks to k, and to the frames below it, replay
+//! from k instead of from the root; [`CheckReport::replayed`] counts
+//! the transitions re-applied. A restored machine is the machine a
+//! replay from the root reaches, so the search order, the backtrack
+//! obligations and the sleep sets are unchanged, and so is the explored
+//! tree.
+//!
+//! Popped frames hand their enabled lists to new ones, every applied
+//! step records its emitted channels into the list of a step already
+//! undone ([`tsocc::ScheduledSystem::apply_reusing`]), the axiom check
+//! and the terminal outcome reuse one buffer each, and a checkpoint
+//! reuses the buffers of a dropped one, so the explorer allocates
+//! nothing per transition. The protocol controllers may still allocate
+//! inside a transition.
 //!
 //! The checker shares one blessed program surface with the campaign:
 //! litmus programs are [`ModelProgram`]s, lowered to coherence-layer
@@ -68,7 +78,7 @@
 
 use std::collections::BTreeSet;
 
-use tsocc::{Channel, Choice, ScheduledSystem, StepInfo, SystemConfig, Terminal};
+use tsocc::{Channel, Checkpoint, Choice, ScheduledSystem, StepInfo, SystemConfig, Terminal};
 use tsocc_coherence::{Agent, CoherenceDiscipline, FaultPlan, LineAccess};
 use tsocc_conform::{core_ops, shrink};
 use tsocc_mem::LineAddr;
@@ -215,6 +225,9 @@ pub struct CheckReport {
     /// Transitions executed on first exploration (prefix replays during
     /// backtracking excluded).
     pub transitions: u64,
+    /// Transitions re-applied while backtracking: those between the
+    /// restored checkpoint and the frame backtracked to.
+    pub replayed: u64,
     /// Branches pruned because every enabled choice was asleep.
     pub sleep_blocked: u64,
     /// Every outcome observed across all explored schedules.
@@ -531,12 +544,18 @@ struct Explorer {
     refine_lines: bool,
     opts: CheckOpts,
     report: CheckReport,
+    /// `(depth, checkpoint)` entries along the current path, shallowest
+    /// first; the root checkpoint stands in at depth 0 when none is
+    /// left.
+    checkpoints: Vec<(usize, Checkpoint)>,
     /// The `enabled` lists of popped frames, recycled by new ones.
     spare_lists: Vec<Vec<Choice>>,
     /// The `emitted` lists of undone steps, recycled by new ones.
     spare_emitted: Vec<Vec<Channel>>,
     /// The axiom check's buffer of `(line, access, core)` holdings.
     held: Vec<(LineAddr, LineAccess, usize)>,
+    /// The buffer a terminal state's outcome is read into.
+    outcome: Vec<u64>,
 }
 
 impl Explorer {
@@ -549,9 +568,11 @@ impl Explorer {
                 complete: true,
                 ..CheckReport::default()
             },
+            checkpoints: Vec::new(),
             spare_lists: Vec::new(),
             spare_emitted: Vec::new(),
             held: Vec::new(),
+            outcome: Vec::new(),
         }
     }
 
@@ -568,10 +589,10 @@ impl Explorer {
         Ok(enabled)
     }
 
-    /// Depth-first stateless exploration of `state`, a machine in its
-    /// initial state: descend picking one choice per frame, check
-    /// terminals, backtrack to the deepest frame with an outstanding
-    /// obligation, reset the machine and re-apply the prefix, repeat.
+    /// Depth-first exploration of `state`, a machine in its initial
+    /// state: descend picking one choice per frame, check terminals,
+    /// backtrack to the deepest frame with an outstanding obligation
+    /// (see [`Self::backtrack`]), repeat.
     fn explore(&mut self, mut state: ScheduledSystem) -> Result<(), CheckError> {
         let mut frames = vec![Frame::new(self.enabled_choices(&state)?, 0)];
         loop {
@@ -624,7 +645,7 @@ impl Explorer {
                 info,
             });
             if at_l1 {
-                self.check_axioms(&state, &frames);
+                self.check_axioms(&mut state, &frames);
             }
             let enabled = self.enabled_choices(&state)?;
             let sleep = self.child_sleep(frames.last().expect("frame"), &enabled);
@@ -745,9 +766,12 @@ impl Explorer {
         sleep
     }
 
-    /// Pops exhausted frames, marks their choices done, resets `state`
-    /// and re-applies the surviving prefix. Returns `false` when the
-    /// whole tree is exhausted.
+    /// Pops exhausted frames and marks their choices done, down to the
+    /// deepest frame with a choice left, and returns `state` to that
+    /// frame's state: drops the checkpoints deeper than it, restores
+    /// the deepest one left (or the root), re-applies the choices in
+    /// between, and checkpoints the frame if it re-applied any. Returns
+    /// `false` when the whole tree is exhausted.
     fn backtrack(&mut self, frames: &mut Vec<Frame>, state: &mut ScheduledSystem) -> bool {
         loop {
             let exhausted = frames.pop().expect("a current frame");
@@ -759,12 +783,23 @@ impl Explorer {
             frame.done |= bit(step.index);
             self.spare_emitted.push(step.info.emitted);
             if self.pick(frame).is_some() {
-                state.reset();
-                for f in &frames[..frames.len() - 1] {
+                let depth = frames.len() - 1;
+                while self.checkpoints.pop_if(|&mut (at, _)| at > depth).is_some() {}
+                let (from, checkpoint) = self
+                    .checkpoints
+                    .last()
+                    .copied()
+                    .unwrap_or((0, Checkpoint::ROOT));
+                state.restore(checkpoint);
+                for f in &frames[from..depth] {
                     let choice = f.chosen.as_ref().expect("prefix frame").choice;
                     let spare = self.spare_emitted.pop().unwrap_or_default();
                     self.spare_emitted
                         .push(state.apply_reusing(choice, spare).emitted);
+                }
+                if depth > from {
+                    self.report.replayed += (depth - from) as u64;
+                    self.checkpoints.push((depth, state.checkpoint()));
                 }
                 return true;
             }
@@ -777,16 +812,18 @@ impl Explorer {
         self.report.schedules += 1;
         match state.stuck() {
             Terminal::Done => {
-                let outcome = state.outcome();
-                if !self.report.allowed.contains(&outcome) {
+                state.outcome_into(&mut self.outcome);
+                if !self.report.allowed.contains(&self.outcome) {
                     self.violation(
                         ViolationKind::ForbiddenOutcome {
-                            outcome: outcome.clone(),
+                            outcome: self.outcome.clone(),
                         },
                         frames,
                     );
                 }
-                self.report.outcomes.insert(outcome);
+                if !self.report.outcomes.contains(&self.outcome) {
+                    self.report.outcomes.insert(self.outcome.clone());
+                }
             }
             Terminal::Deadlock => self.violation(ViolationKind::Deadlock, frames),
         }
@@ -794,7 +831,7 @@ impl Explorer {
 
     /// State-invariant checks, run after every transition that touched
     /// an L1.
-    fn check_axioms(&mut self, state: &ScheduledSystem, frames: &[Frame]) {
+    fn check_axioms(&mut self, state: &mut ScheduledSystem, frames: &[Frame]) {
         state.l1_access_into(&mut self.held);
         self.held.sort_unstable();
         self.held.dedup();
@@ -888,11 +925,13 @@ mod tests {
         assert!(report.outcomes.contains(&vec![0, 0]));
         // The explored tree's (schedules, transitions, sleep-blocked)
         // totals: any change to the exploration order, the race
-        // detection or the sleep sets moves them.
+        // detection or the sleep sets moves them. Beside them, the
+        // transitions re-applied while backtracking from checkpoints.
         assert_eq!(
             (report.schedules, report.transitions, report.sleep_blocked),
             (6_216, 62_782, 8_997)
         );
+        assert_eq!(report.replayed, 60_579);
     }
 
     #[test]

@@ -46,8 +46,8 @@ use tsocc_mem::{CacheArray, CacheParams, InsertOutcome, LineAddr, LineData, Line
 use tsocc_sim::Cycle;
 
 use crate::iface::{
-    BusyProbe, CacheController, Completion, CoreOp, CtrlProbe, L1Controller, L2Controller,
-    LineAccess, Submit,
+    same_type, BusyProbe, CacheController, Completion, CoreOp, CtrlProbe, L1Controller,
+    L2Controller, LineAccess, Submit,
 };
 use crate::msg::{Agent, Epoch, Msg, NetMsg, Ts};
 use crate::outbox::Outbox;
@@ -120,6 +120,14 @@ impl<R> MshrTable<R> {
     /// Iterates over every in-flight transaction.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &R)> {
         self.entries.iter()
+    }
+}
+
+impl<R: Clone> MshrTable<R> {
+    /// Makes `self` a copy of `src`, keeping `self`'s table.
+    pub fn copy_from(&mut self, src: &MshrTable<R>) {
+        let MshrTable { entries } = self;
+        entries.copy_from(&src.entries);
     }
 }
 
@@ -300,6 +308,40 @@ impl<L: Copy, R> L1Chassis<L, R> {
     }
 }
 
+impl<L: Copy, R: Clone> L1Chassis<L, R> {
+    /// Makes `self` a copy of `src`, a chassis of the same geometry,
+    /// keeping `self`'s allocations. Lists every field, so a new one
+    /// cannot be forgotten here.
+    pub fn copy_from(&mut self, src: &Self) {
+        let L1Chassis {
+            id,
+            n_cores,
+            n_tiles,
+            l2_banks,
+            issue_latency,
+            cache,
+            mshrs,
+            wb,
+            outbox,
+            completions,
+            stats,
+            faults,
+        } = self;
+        *id = src.id;
+        *n_cores = src.n_cores;
+        *n_tiles = src.n_tiles;
+        *l2_banks = src.l2_banks;
+        *issue_latency = src.issue_latency;
+        cache.copy_from(&src.cache);
+        mshrs.copy_from(&src.mshrs);
+        wb.copy_from(&src.wb);
+        outbox.copy_from(&src.outbox);
+        completions.clone_from(&src.completions);
+        stats.clone_from(&src.stats);
+        *faults = src.faults;
+    }
+}
+
 /// A coherence protocol's L1 transition rules, layered over an
 /// [`L1Chassis`].
 ///
@@ -311,7 +353,11 @@ pub trait L1Policy {
     /// Per-line protocol state (Invalid is represented by absence).
     type Line: Copy + std::fmt::Debug;
     /// Per-miss MSHR payload.
-    type Mshr: std::fmt::Debug;
+    type Mshr: Clone + std::fmt::Debug;
+
+    /// Makes `self` a copy of `src`, keeping `self`'s allocations (see
+    /// [`CacheController::copy_from`]).
+    fn copy_from(&mut self, src: &Self);
 
     /// Attempts a core operation (load/store/RMW/fence).
     fn submit(
@@ -357,7 +403,7 @@ impl<P: L1Policy> L1Ctl<P> {
     }
 }
 
-impl<P: L1Policy> CacheController for L1Ctl<P> {
+impl<P: L1Policy + 'static> CacheController for L1Ctl<P> {
     fn handle_message(&mut self, now: Cycle, src: Agent, msg: Msg) {
         self.policy.handle_message(&mut self.chassis, now, src, msg);
     }
@@ -395,18 +441,31 @@ impl<P: L1Policy> CacheController for L1Ctl<P> {
     }
 
     fn access_lines(&self) -> Vec<(LineAddr, LineAccess)> {
-        let mut lines: Vec<(LineAddr, LineAccess)> = self
-            .chassis
-            .cache
-            .iter()
-            .map(|(line, l)| (line, self.policy.line_access(l)))
-            .collect();
-        lines.sort_unstable();
+        let mut lines = Vec::new();
+        self.access_lines_into(&mut lines);
         lines
+    }
+
+    fn access_lines_into(&self, out: &mut Vec<(LineAddr, LineAccess)>) {
+        let start = out.len();
+        out.extend(
+            self.chassis
+                .cache
+                .iter()
+                .map(|(line, l)| (line, self.policy.line_access(l))),
+        );
+        out[start..].sort_unstable();
+    }
+
+    fn copy_from(&mut self, src: &dyn CacheController) {
+        let src: &Self = same_type(src);
+        let L1Ctl { chassis, policy } = self;
+        chassis.copy_from(&src.chassis);
+        policy.copy_from(&src.policy);
     }
 }
 
-impl<P: L1Policy> L1Controller for L1Ctl<P> {
+impl<P: L1Policy + 'static> L1Controller for L1Ctl<P> {
     fn submit(&mut self, now: Cycle, op: CoreOp) -> Submit {
         self.policy.submit(&mut self.chassis, now, op)
     }
@@ -450,6 +509,31 @@ impl<K> Txn<K> {
             need_owner_data,
             waiting: VecDeque::new(),
         }
+    }
+}
+
+impl<K: Clone> Clone for Txn<K> {
+    fn clone(&self) -> Self {
+        Txn {
+            kind: self.kind.clone(),
+            need_unblock: self.need_unblock,
+            need_owner_data: self.need_owner_data,
+            waiting: self.waiting.clone(),
+        }
+    }
+
+    /// Copies `src` field by field, keeping `self`'s waiting queue.
+    fn clone_from(&mut self, src: &Self) {
+        let Txn {
+            kind,
+            need_unblock,
+            need_owner_data,
+            waiting,
+        } = self;
+        kind.clone_from(&src.kind);
+        *need_unblock = src.need_unblock;
+        *need_owner_data = src.need_owner_data;
+        waiting.clone_from(&src.waiting);
     }
 }
 
@@ -596,6 +680,36 @@ impl<L: Copy, K> L2Chassis<L, K> {
     }
 }
 
+impl<L: Copy, K: Clone> L2Chassis<L, K> {
+    /// Makes `self` a copy of `src`, a chassis of the same geometry,
+    /// keeping `self`'s allocations. Lists every field, so a new one
+    /// cannot be forgotten here.
+    pub fn copy_from(&mut self, src: &Self) {
+        let L2Chassis {
+            tile,
+            n_cores,
+            n_mem,
+            latency,
+            cache,
+            busy,
+            replay,
+            outbox,
+            stats,
+            faults,
+        } = self;
+        *tile = src.tile;
+        *n_cores = src.n_cores;
+        *n_mem = src.n_mem;
+        *latency = src.latency;
+        cache.copy_from(&src.cache);
+        busy.copy_from(&src.busy);
+        replay.clone_from(&src.replay);
+        outbox.copy_from(&src.outbox);
+        stats.clone_from(&src.stats);
+        *faults = src.faults;
+    }
+}
+
 /// A coherence protocol's L2 (directory) transition rules, layered over
 /// an [`L2Chassis`].
 ///
@@ -608,7 +722,11 @@ pub trait L2Policy {
     /// Per-line directory state (absence = not present).
     type Line: Copy + std::fmt::Debug;
     /// Protocol-specific transaction state machine.
-    type Busy: std::fmt::Debug;
+    type Busy: Clone + std::fmt::Debug;
+
+    /// Makes `self` a copy of `src`, keeping `self`'s allocations (see
+    /// [`CacheController::copy_from`]).
+    fn copy_from(&mut self, src: &Self);
 
     /// A GetS (read request) against an idle line.
     fn gets(
@@ -715,7 +833,7 @@ impl<P: L2Policy> L2Ctl<P> {
     }
 }
 
-impl<P: L2Policy> CacheController for L2Ctl<P> {
+impl<P: L2Policy + 'static> CacheController for L2Ctl<P> {
     fn handle_message(&mut self, now: Cycle, src: Agent, msg: Msg) {
         match msg {
             Msg::GetS { .. } | Msg::GetX { .. } | Msg::PutE { .. } | Msg::PutM { .. } => {
@@ -785,9 +903,16 @@ impl<P: L2Policy> CacheController for L2Ctl<P> {
             outbox: self.chassis.outbox.len(),
         }
     }
+
+    fn copy_from(&mut self, src: &dyn CacheController) {
+        let src: &Self = same_type(src);
+        let L2Ctl { chassis, policy } = self;
+        chassis.copy_from(&src.chassis);
+        policy.copy_from(&src.policy);
+    }
 }
 
-impl<P: L2Policy> L2Controller for L2Ctl<P> {
+impl<P: L2Policy + 'static> L2Controller for L2Ctl<P> {
     fn stats(&self) -> &L2Stats {
         &self.chassis.stats
     }

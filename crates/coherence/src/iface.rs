@@ -1,6 +1,8 @@
 //! Controller interfaces through which the system assembly drives the
 //! protocols.
 
+use std::any::Any;
+
 use tsocc_faults::FaultPlan;
 use tsocc_mem::{Addr, LineAddr};
 use tsocc_sim::Cycle;
@@ -138,7 +140,10 @@ impl CtrlProbe {
 /// Common behaviour of every coherence controller (L1, L2 tile, memory
 /// controller): receive network messages, advance internal time, and
 /// emit outgoing messages.
-pub trait CacheController {
+///
+/// `Any` is a supertrait so that [`CacheController::copy_from`] can
+/// recover its source's concrete type.
+pub trait CacheController: Any {
     /// Delivers one message from the network.
     fn handle_message(&mut self, now: Cycle, src: Agent, msg: Msg);
 
@@ -185,6 +190,48 @@ pub trait CacheController {
     fn access_lines(&self) -> Vec<(LineAddr, LineAccess)> {
         Vec::new()
     }
+
+    /// [`CacheController::access_lines`] appended to `out`, so a caller
+    /// probing many states can recycle one buffer. The default extends
+    /// `out` with `access_lines()`; the chassis-based L1 writes straight
+    /// into it.
+    fn access_lines_into(&self, out: &mut Vec<(LineAddr, LineAccess)>) {
+        out.extend(self.access_lines());
+    }
+
+    /// Makes `self` a copy of `src`, a controller the same factory built
+    /// for the same agent, keeping `self`'s allocations. The model
+    /// checker saves and restores controllers this way
+    /// (`tsocc::ScheduledSystem`'s checkpoints), without building or
+    /// cloning one.
+    ///
+    /// # Panics
+    ///
+    /// The default panics: only the controllers the model checker drives
+    /// implement it (the chassis-based L1 and L2, [`crate::MemCtrl`]),
+    /// and those panic when `src` has another concrete type.
+    fn copy_from(&mut self, src: &dyn CacheController) {
+        let _ = src;
+        panic!(
+            "{} cannot copy a controller in place",
+            std::any::type_name::<Self>()
+        );
+    }
+}
+
+/// `src` as the concrete controller type `C`: the source of a
+/// [`CacheController::copy_from`] into a `C`.
+///
+/// # Panics
+///
+/// Panics if `src` is not a `C`.
+pub(crate) fn same_type<C: CacheController>(src: &dyn CacheController) -> &C {
+    (src as &dyn Any).downcast_ref().unwrap_or_else(|| {
+        panic!(
+            "copy_from: the source is not a {}",
+            std::any::type_name::<C>()
+        )
+    })
 }
 
 /// The core-facing interface of an L1 controller, implemented by both

@@ -3,7 +3,7 @@
 use tsocc_mem::MainMemory;
 use tsocc_sim::{Counter, Cycle};
 
-use crate::iface::CacheController;
+use crate::iface::{same_type, CacheController};
 use crate::msg::{Agent, Msg, NetMsg};
 use crate::outbox::Outbox;
 
@@ -111,6 +111,24 @@ impl CacheController for MemCtrl {
         // Purely reactive: acts only when a queued response matures.
         self.outbox.next_ready()
     }
+
+    fn copy_from(&mut self, src: &dyn CacheController) {
+        let src: &MemCtrl = same_type(src);
+        let MemCtrl {
+            id,
+            memory,
+            latency,
+            outbox,
+            reads,
+            writes,
+        } = self;
+        *id = src.id;
+        memory.copy_from(&src.memory);
+        *latency = src.latency;
+        outbox.copy_from(&src.outbox);
+        *reads = src.reads;
+        *writes = src.writes;
+    }
 }
 
 #[cfg(test)]
@@ -149,6 +167,25 @@ mod tests {
         assert_eq!(mc.memory().read_word(Addr::new(0x88)), 5);
         assert_eq!(mc.writes.get(), 1);
         assert!(mc.is_quiescent());
+    }
+
+    #[test]
+    fn a_copy_carries_memory_responses_and_counters() {
+        let mut mc = MemCtrl::new(0, MainMemory::new(), 10);
+        let line = Addr::new(0x80).line();
+        let mut data = LineData::zeroed();
+        data.write_word(0, 5);
+        mc.handle_message(Cycle::ZERO, Agent::L2(0), Msg::MemWrite { line, data });
+        mc.handle_message(Cycle::ZERO, Agent::L2(1), Msg::MemRead { line });
+        let mut copy = MemCtrl::new(0, MainMemory::new(), 10);
+        copy.copy_from(&mc);
+        assert_eq!((copy.reads.get(), copy.writes.get()), (1, 1));
+        assert_eq!(copy.memory().read_word(Addr::new(0x80)), 5);
+        let (mut sent, mut sent_copy) = (Vec::new(), Vec::new());
+        mc.drain_outbox(Cycle::new(10), &mut sent);
+        copy.drain_outbox(Cycle::new(10), &mut sent_copy);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent_copy, sent);
     }
 
     #[test]

@@ -94,6 +94,12 @@ impl Outbox {
     pub fn len(&self) -> usize {
         self.queue.len()
     }
+
+    /// Makes `self` a copy of `src`, keeping `self`'s queue storage.
+    pub fn copy_from(&mut self, src: &Outbox) {
+        let Outbox { queue } = self;
+        queue.clone_from(&src.queue);
+    }
 }
 
 #[cfg(test)]

@@ -106,6 +106,12 @@ impl WritebackBuffer {
     pub fn len(&self) -> usize {
         self.entries.len()
     }
+
+    /// Makes `self` a copy of `src`, keeping `self`'s table.
+    pub fn copy_from(&mut self, src: &WritebackBuffer) {
+        let WritebackBuffer { entries } = self;
+        entries.copy_from(&src.entries);
+    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
-//! The scheduler seam: a replayable, choice-at-a-time drive of the
-//! coherence controllers for the stateless model checker
-//! (`tsocc-check`).
+//! The scheduler seam: a choice-at-a-time drive of the coherence
+//! controllers for the stateless model checker (`tsocc-check`), with
+//! checkpoints to backtrack to.
 //!
 //! [`crate::System`] resolves every race by *timing*: one deterministic
 //! interleaving per seed. Model checking needs the opposite — explicit
 //! control over every nondeterministic choice so a depth-first search
-//! can replay a prefix and branch differently. [`ScheduledSystem`]
-//! rebuilds the machine around that need:
+//! can return to an earlier state and branch differently.
+//! [`ScheduledSystem`] rebuilds the machine around that need:
 //!
 //! - **The mesh becomes per-channel FIFO queues.** A channel is a
 //!   `(src, dst, vnet)` triple. The real mesh (XY routing, per-link
@@ -42,12 +42,20 @@
 //! MSHR — re-enables it. This keeps the search space free of silent
 //! self-loops without hiding any real interleaving.
 //!
-//! A search backtracks without snapshots: [`ScheduledSystem::reset`]
-//! returns the one machine to its initial state in place (controllers
-//! rebuilt through the protocol factory, queues emptied but their
-//! capacity kept), and the search re-applies the prefix it keeps.
-//! [`ReplaySchedule`] drives a machine down a recorded choice sequence,
-//! which is how a violation the checker reports is reproduced.
+//! A search backtracks through a stack of checkpoints
+//! ([`ScheduledSystem::checkpoint`], [`ScheduledSystem::restore`]).
+//! Every transition touches exactly one controller, so the machine
+//! versions its controllers: a checkpoint saves a copy only of the
+//! controllers a transition touched since they were last saved or
+//! restored, and a restore copies back only the controllers whose
+//! version differs from the checkpoint's. Copies are made in place
+//! ([`CacheController::copy_from`]) into buffers the protocol factory
+//! built once and that the machine reuses; a checkpoint also holds the
+//! queued messages and the thread shims. The state [`ScheduledSystem::new`]
+//! builds is the root checkpoint, which [`ScheduledSystem::reset`]
+//! restores. [`ReplaySchedule`] drives a machine down a recorded choice
+//! sequence, which is how a violation the checker reports is
+//! reproduced.
 
 use std::collections::VecDeque;
 
@@ -72,8 +80,9 @@ pub type Channel = (Agent, Agent, VNet);
 /// index is ascending [`Channel`] order: agents are numbered L1s, then
 /// L2 tiles, then memory controllers (the order of [`Agent`]'s derived
 /// `Ord`), and a channel's index is `(src * n_agents + dst) * 3 + vnet`.
-/// An occupancy bitset beside the table lets enumeration and reset
-/// visit only the non-empty queues.
+/// An occupancy bitset beside the table lets enumeration, saving and
+/// clearing visit only the non-empty queues. The machine numbers its
+/// controllers the same way.
 struct ChannelTable {
     n_cores: usize,
     n_tiles: usize,
@@ -133,7 +142,10 @@ impl ChannelTable {
     }
 
     fn push(&mut self, channel: Channel, msg: Msg) {
-        let i = self.index(channel);
+        self.push_at(self.index(channel), msg);
+    }
+
+    fn push_at(&mut self, i: usize, msg: Msg) {
         self.queues[i].push_back(msg);
         self.occupied[i / 64] |= 1 << (i % 64);
     }
@@ -152,12 +164,26 @@ impl ChannelTable {
         set_bits(&self.occupied)
     }
 
-    /// Empties every queue, keeping its capacity.
-    fn clear(&mut self) {
+    /// Writes every queued message into `out` (cleared first) as
+    /// `(queue index, message)` pairs: ascending index, and FIFO order
+    /// within a queue.
+    fn save_into(&self, out: &mut Vec<(usize, Msg)>) {
+        out.clear();
+        for i in self.occupied() {
+            out.extend(self.queues[i].iter().map(|msg| (i, msg.clone())));
+        }
+    }
+
+    /// Empties every queue, keeping its capacity, then queues `saved`,
+    /// a list [`Self::save_into`] wrote.
+    fn restore(&mut self, saved: &[(usize, Msg)]) {
         for i in set_bits(&self.occupied) {
             self.queues[i].clear();
         }
         self.occupied.fill(0);
+        for (i, msg) in saved {
+            self.push_at(*i, msg.clone());
+        }
     }
 
     /// Messages queued over all channels.
@@ -211,7 +237,8 @@ pub enum Choice {
 pub struct StepInfo {
     /// The controller whose state the transition read or wrote: the
     /// issuing thread's L1 for [`Choice::Issue`]/[`Choice::Drain`], the
-    /// destination for [`Choice::Deliver`].
+    /// destination for [`Choice::Deliver`]. No other controller
+    /// changes.
     pub ctrl: Agent,
     /// The cache line the transition concerned, when it names one
     /// (the delivered message's line, or the issued op's line).
@@ -233,11 +260,11 @@ pub enum Terminal {
     Deadlock,
 }
 
-/// One thread's program sequencing over [`CoreOp`]s, standing in for
-/// a core pipeline around its [`StoreBuffer`].
+/// One thread's progress through its program (the machine keeps the
+/// programs), standing in for a core pipeline around its
+/// [`StoreBuffer`].
 #[derive(Debug)]
 struct ThreadShim {
-    ops: Vec<CoreOp>,
     pc: usize,
     buffer: StoreBuffer,
     /// An outstanding load/RMW miss awaits its value.
@@ -251,9 +278,8 @@ struct ThreadShim {
 }
 
 impl ThreadShim {
-    fn new(ops: Vec<CoreOp>, buffer_entries: usize) -> Self {
+    fn new(buffer_entries: usize) -> Self {
         ThreadShim {
-            ops,
             pc: 0,
             buffer: StoreBuffer::new(buffer_entries),
             waiting: false,
@@ -263,12 +289,10 @@ impl ThreadShim {
         }
     }
 
-    /// Returns the thread to its first operation, keeping its program
-    /// and the capacity of its buffers. Lists every field, so a new one
-    /// cannot be forgotten here.
-    fn rewind(&mut self) {
+    /// Makes `self` a copy of `src`, keeping `self`'s storage. Lists
+    /// every field, so a new one cannot be forgotten here.
+    fn copy_from(&mut self, src: &ThreadShim) {
         let ThreadShim {
-            ops: _,
             pc,
             buffer,
             waiting,
@@ -276,16 +300,16 @@ impl ThreadShim {
             drain_blocked,
             observed,
         } = self;
-        *pc = 0;
-        buffer.clear();
-        *waiting = false;
-        *issue_blocked = false;
-        *drain_blocked = false;
-        observed.clear();
+        *pc = src.pc;
+        buffer.copy_from(&src.buffer);
+        *waiting = src.waiting;
+        *issue_blocked = src.issue_blocked;
+        *drain_blocked = src.drain_blocked;
+        observed.clone_from(&src.observed);
     }
 
-    fn done(&self) -> bool {
-        self.pc == self.ops.len() && self.buffer.is_empty() && !self.waiting
+    fn done(&self, program: &[CoreOp]) -> bool {
+        self.pc == program.len() && self.buffer.is_empty() && !self.waiting
     }
 }
 
@@ -320,33 +344,91 @@ impl Scheduler for ReplaySchedule {
     }
 }
 
+/// A machine state saved by [`ScheduledSystem::checkpoint`], named by
+/// its place on the machine's checkpoint stack.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Checkpoint(usize);
+
+impl Checkpoint {
+    /// The state [`ScheduledSystem::new`] built: the bottom of the
+    /// stack, which no restore drops.
+    pub const ROOT: Checkpoint = Checkpoint(0);
+}
+
+/// The version of a controller a transition touched since it was last
+/// saved or restored: its state equals no saved copy.
+const UNSAVED: u64 = 0;
+
+/// One saved copy of a controller.
+struct SavedCopy {
+    /// The stack index of the checkpoint that saved it.
+    checkpoint: usize,
+    /// The version it saved.
+    version: u64,
+    ctrl: Box<dyn CacheController>,
+}
+
+/// A checkpoint's state besides the controller copies.
+struct Saved {
+    /// Every controller's version when the checkpoint was taken.
+    versions: Vec<u64>,
+    /// The queued messages, as [`ChannelTable::save_into`] lists them.
+    messages: Vec<(usize, Msg)>,
+    threads: Vec<ThreadShim>,
+    transitions: u64,
+}
+
 /// The machine rebuilt around explicit scheduling: the configured
 /// protocol's own L1/L2/memory controllers (built through the same
 /// [`tsocc_coherence::ProtocolFactory`] seam as [`crate::System`]),
 /// FIFO channels in place of the mesh, and thread shims around the
 /// timed core's [`StoreBuffer`] in place of the core pipelines.
 ///
-/// One machine serves a whole search: [`Self::reset`] returns it to the
-/// state [`Self::new`] built, so backtracking allocates no new machine,
-/// channel table or program copy.
+/// One machine serves a whole search. It keeps a stack of checkpoints
+/// whose bottom is the state [`Self::new`] built; [`Self::restore`]
+/// returns the machine to any checkpoint on the stack, copying back
+/// only the controllers that changed since, and [`Self::reset`] to the
+/// root. Backtracking allocates no new machine, channel table or
+/// program copy, and once the stack has been as deep as it gets, no
+/// controller either.
 pub struct ScheduledSystem {
     /// The factory and the zero-latency shape every controller is
-    /// built from, kept so [`Self::reset`] can rebuild them.
+    /// built from, kept so checkpoints can build buffers to copy
+    /// controllers into.
     protocol: ProtocolHandle,
     shape: MachineShape,
     l1s: Vec<Box<dyn L1Controller>>,
     l2s: Vec<Box<dyn L2Controller>>,
     mems: Vec<MemCtrl>,
     channels: ChannelTable,
+    /// Each thread's operations, indexed like `threads`.
+    programs: Vec<Vec<CoreOp>>,
     threads: Vec<ThreadShim>,
     discipline: CoherenceDiscipline,
     transitions: u64,
+    /// Each live controller's version, indexed by agent number (the
+    /// channel table's numbering): the version of the saved copy its
+    /// state equals, or [`UNSAVED`].
+    versions: Vec<u64>,
+    /// The last version handed out.
+    last_version: u64,
+    /// Each controller's saved copies, oldest first.
+    copies: Vec<Vec<SavedCopy>>,
+    /// Each controller's buffers of dropped copies, reused by later
+    /// saves.
+    spare_copies: Vec<Vec<Box<dyn CacheController>>>,
+    /// The checkpoint stack, root first.
+    checkpoints: Vec<Saved>,
+    /// Dropped checkpoints, reused by later ones.
+    spare_checkpoints: Vec<Saved>,
     scratch_msgs: Vec<NetMsg>,
     scratch_completions: Vec<Completion>,
+    scratch_access: Vec<(LineAddr, LineAccess)>,
 }
 
 impl ScheduledSystem {
-    /// Builds the machine for `cfg` with one op list per core.
+    /// Builds the machine for `cfg` with one op list per core, and
+    /// saves its state as the root checkpoint.
     ///
     /// # Errors
     ///
@@ -366,47 +448,140 @@ impl ScheduledSystem {
         let mut shape = cfg.shape();
         shape.l1_issue_latency = 0;
         shape.l2_latency = 0;
+        let protocol = cfg.protocol.clone();
+        let channels = ChannelTable::new(&shape);
+        let n_agents = channels.n_agents;
         let mut sys = ScheduledSystem {
-            protocol: cfg.protocol.clone(),
+            l1s: (0..shape.n_cores).map(|i| protocol.l1(i, &shape)).collect(),
+            l2s: (0..shape.n_tiles).map(|t| protocol.l2(t, &shape)).collect(),
+            mems: (0..shape.n_mem).map(ScheduledSystem::mem_ctrl).collect(),
+            protocol,
             shape,
-            l1s: Vec::new(),
-            l2s: Vec::new(),
-            mems: Vec::new(),
-            channels: ChannelTable::new(&shape),
+            channels,
             threads: programs
-                .into_iter()
-                .map(|ops| ThreadShim::new(ops, cfg.core.write_buffer_entries))
+                .iter()
+                .map(|_| ThreadShim::new(cfg.core.write_buffer_entries))
                 .collect(),
+            programs,
             discipline: cfg.protocol.coherence_discipline(),
             transitions: 0,
+            versions: vec![UNSAVED; n_agents],
+            last_version: UNSAVED,
+            copies: (0..n_agents).map(|_| Vec::new()).collect(),
+            spare_copies: (0..n_agents).map(|_| Vec::new()).collect(),
+            checkpoints: Vec::new(),
+            spare_checkpoints: Vec::new(),
             scratch_msgs: Vec::new(),
             scratch_completions: Vec::new(),
+            scratch_access: Vec::new(),
         };
-        sys.reset();
+        assert_eq!(sys.checkpoint(), Checkpoint::ROOT);
         Ok(sys)
     }
 
+    /// Memory controller `j` of the checked machine: empty memory, no
+    /// latency.
+    fn mem_ctrl(j: usize) -> MemCtrl {
+        MemCtrl::new(j, MainMemory::new(), 0)
+    }
+
     /// Returns the machine to its initial state, as [`Self::new`] left
-    /// it: every controller is rebuilt through the protocol factory (so
-    /// a fault plan's one-shot triggers are armed again), every channel
-    /// is emptied and every thread rewound to its first operation. The
-    /// programs and the capacity of every queue are kept, which is what
-    /// makes this cheaper than building a new machine.
+    /// it: restores [`Checkpoint::ROOT`], dropping every other
+    /// checkpoint. A fault plan's one-shot triggers are armed again.
     pub fn reset(&mut self) {
-        let shape = &self.shape;
-        let protocol = &self.protocol;
-        self.l1s.clear();
-        self.l1s
-            .extend((0..shape.n_cores).map(|i| protocol.l1(i, shape)));
-        self.l2s.clear();
-        self.l2s
-            .extend((0..shape.n_tiles).map(|t| protocol.l2(t, shape)));
-        self.mems.clear();
-        self.mems
-            .extend((0..shape.n_mem).map(|j| MemCtrl::new(j, MainMemory::new(), 0)));
-        self.channels.clear();
-        self.threads.iter_mut().for_each(ThreadShim::rewind);
-        self.transitions = 0;
+        self.restore(Checkpoint::ROOT);
+    }
+
+    /// Saves the machine's state on top of the checkpoint stack.
+    /// Copies only the controllers that a transition touched since they
+    /// were last saved or restored; the others' latest copies already
+    /// hold their state.
+    pub fn checkpoint(&mut self) -> Checkpoint {
+        let index = self.checkpoints.len();
+        for i in 0..self.versions.len() {
+            if self.versions[i] != UNSAVED {
+                continue;
+            }
+            let agent = self.channels.agent_at(i);
+            let mut copy = match self.spare_copies[i].pop() {
+                Some(buffer) => buffer,
+                None => self.build(agent),
+            };
+            copy.copy_from(self.ctrl(agent));
+            self.last_version += 1;
+            self.versions[i] = self.last_version;
+            self.copies[i].push(SavedCopy {
+                checkpoint: index,
+                version: self.last_version,
+                ctrl: copy,
+            });
+        }
+        let mut saved = self.spare_checkpoints.pop().unwrap_or_else(|| Saved {
+            versions: Vec::new(),
+            messages: Vec::new(),
+            threads: self.threads.iter().map(|_| ThreadShim::new(0)).collect(),
+            transitions: 0,
+        });
+        saved.versions.clone_from(&self.versions);
+        self.channels.save_into(&mut saved.messages);
+        for (into, from) in saved.threads.iter_mut().zip(&self.threads) {
+            into.copy_from(from);
+        }
+        saved.transitions = self.transitions;
+        self.checkpoints.push(saved);
+        Checkpoint(index)
+    }
+
+    /// Returns the machine to `checkpoint`'s state and drops every
+    /// checkpoint taken after it (their handles are then invalid).
+    /// Copies back only the controllers whose version differs from the
+    /// checkpoint's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `checkpoint` was dropped.
+    pub fn restore(&mut self, checkpoint: Checkpoint) {
+        let Checkpoint(index) = checkpoint;
+        assert!(index < self.checkpoints.len(), "{checkpoint:?} was dropped");
+        self.spare_checkpoints
+            .extend(self.checkpoints.drain(index + 1..));
+        for (copies, spare) in self.copies.iter_mut().zip(&mut self.spare_copies) {
+            while let Some(copy) = copies.pop_if(|c| c.checkpoint > index) {
+                spare.push(copy.ctrl);
+            }
+        }
+        let saved = &self.checkpoints[index];
+        for (i, &version) in saved.versions.iter().enumerate() {
+            if self.versions[i] == version {
+                continue;
+            }
+            // The checkpoints above `index` are gone, so the latest
+            // copy is the one this checkpoint saved or kept.
+            let copy = self.copies[i].last().expect("a saved copy");
+            assert_eq!(copy.version, version, "the latest copy of agent {i}");
+            // Each arm borrows one controller list, not the machine as
+            // `ctrl_mut` would, while `copy` borrows the copies.
+            match self.channels.agent_at(i) {
+                Agent::L1(c) => self.l1s[c].copy_from(copy.ctrl.as_ref()),
+                Agent::L2(t) => self.l2s[t].copy_from(copy.ctrl.as_ref()),
+                Agent::Mem(j) => self.mems[j].copy_from(copy.ctrl.as_ref()),
+            }
+            self.versions[i] = version;
+        }
+        self.channels.restore(&saved.messages);
+        for (into, from) in self.threads.iter_mut().zip(&saved.threads) {
+            into.copy_from(from);
+        }
+        self.transitions = saved.transitions;
+    }
+
+    /// A new controller for `agent`, built as [`Self::new`] builds it.
+    fn build(&self, agent: Agent) -> Box<dyn CacheController> {
+        match agent {
+            Agent::L1(i) => self.protocol.l1(i, &self.shape),
+            Agent::L2(t) => self.protocol.l2(t, &self.shape),
+            Agent::Mem(j) => Box::new(ScheduledSystem::mem_ctrl(j)),
+        }
     }
 
     /// The set of enabled choices, in a deterministic order (issues,
@@ -421,9 +596,9 @@ impl ScheduledSystem {
     /// enumerating many states can recycle one list.
     pub fn enabled_into(&self, out: &mut Vec<Choice>) {
         out.clear();
-        for (t, th) in self.threads.iter().enumerate() {
-            if !th.waiting && th.pc < th.ops.len() {
-                let ok = match th.ops[th.pc] {
+        for (t, (th, program)) in self.threads.iter().zip(&self.programs).enumerate() {
+            if !th.waiting && th.pc < program.len() {
+                let ok = match program[th.pc] {
                     CoreOp::Store(..) => th.buffer.has_room(),
                     CoreOp::Load(addr) => th.buffer.forward(addr).is_some() || !th.issue_blocked,
                     CoreOp::Fence => th.buffer.is_empty(),
@@ -447,7 +622,12 @@ impl ScheduledSystem {
     /// Classifies a state the caller already found to have an empty
     /// [`Self::enabled`] set, without enumerating it again.
     pub fn stuck(&self) -> Terminal {
-        if self.threads.iter().all(ThreadShim::done) {
+        let done = self
+            .threads
+            .iter()
+            .zip(&self.programs)
+            .all(|(th, program)| th.done(program));
+        if done {
             Terminal::Done
         } else {
             Terminal::Deadlock
@@ -471,6 +651,9 @@ impl ScheduledSystem {
             Choice::Drain { thread } => (Agent::L1(thread), self.apply_drain(thread, &mut emitted)),
             Choice::Deliver { channel } => (channel.1, self.apply_deliver(channel, &mut emitted)),
         };
+        // The one controller a transition touches no longer equals its
+        // saved copy.
+        self.versions[self.channels.agent_index(ctrl)] = UNSAVED;
         StepInfo {
             ctrl,
             line,
@@ -483,7 +666,7 @@ impl ScheduledSystem {
     /// L1. Returns the op's line.
     fn apply_issue(&mut self, t: usize, emitted: &mut Vec<Channel>) -> Option<LineAddr> {
         let th = &mut self.threads[t];
-        let op = th.ops[th.pc];
+        let op = self.programs[t][th.pc];
         let line = op.addr().map(Addr::line);
         let forwarded = match op {
             CoreOp::Store(addr, value) => {
@@ -512,7 +695,6 @@ impl ScheduledSystem {
         self.settle(Agent::L1(t), emitted);
         line
     }
-
     /// Offers thread `t`'s store-buffer head to its L1. Returns the
     /// store's line.
     fn apply_drain(&mut self, t: usize, emitted: &mut Vec<Channel>) -> Option<LineAddr> {
@@ -567,10 +749,18 @@ impl ScheduledSystem {
     /// order, concatenated thread-major — the layout of
     /// `tsocc_workloads::tso_model` outcomes.
     pub fn outcome(&self) -> Vec<u64> {
-        self.threads
-            .iter()
-            .flat_map(|t| t.observed.iter().copied())
-            .collect()
+        let mut out = Vec::new();
+        self.outcome_into(&mut out);
+        out
+    }
+
+    /// [`Self::outcome`] written into `out` (cleared first), so a caller
+    /// checking many terminal states can recycle one buffer.
+    pub fn outcome_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        for t in &self.threads {
+            out.extend_from_slice(&t.observed);
+        }
     }
 
     /// Per-core view of resident lines and their permissions, for the
@@ -581,15 +771,15 @@ impl ScheduledSystem {
 
     /// [`Self::l1_access`] flattened into `out` (cleared first) as
     /// `(line, access, core)` triples, so a caller checking many states
-    /// can recycle one buffer.
-    pub fn l1_access_into(&self, out: &mut Vec<(LineAddr, LineAccess, usize)>) {
+    /// can recycle one buffer. Allocates nothing once the buffers are
+    /// large enough.
+    pub fn l1_access_into(&mut self, out: &mut Vec<(LineAddr, LineAccess, usize)>) {
         out.clear();
+        let lines = &mut self.scratch_access;
         for (core, l1) in self.l1s.iter().enumerate() {
-            out.extend(
-                l1.access_lines()
-                    .into_iter()
-                    .map(|(line, access)| (line, access, core)),
-            );
+            lines.clear();
+            l1.access_lines_into(lines);
+            out.extend(lines.iter().map(|&(line, access)| (line, access, core)));
         }
     }
 
@@ -598,7 +788,8 @@ impl ScheduledSystem {
         self.discipline
     }
 
-    /// Transitions applied so far.
+    /// Transitions applied since [`Self::new`], less those a restore
+    /// took back: the depth of the current state.
     pub fn transitions(&self) -> u64 {
         self.transitions
     }
@@ -606,6 +797,14 @@ impl ScheduledSystem {
     /// Number of threads (= cores).
     pub fn n_threads(&self) -> usize {
         self.threads.len()
+    }
+
+    fn ctrl(&self, agent: Agent) -> &dyn CacheController {
+        match agent {
+            Agent::L1(i) => self.l1s[i].as_ref(),
+            Agent::L2(t) => self.l2s[t].as_ref(),
+            Agent::Mem(j) => &self.mems[j],
+        }
     }
 
     fn ctrl_mut(&mut self, agent: Agent) -> &mut dyn CacheController {
@@ -677,6 +876,7 @@ impl std::fmt::Debug for ScheduledSystem {
             .field("threads", &self.threads.len())
             .field("transitions", &self.transitions)
             .field("queued", &self.channels.queued())
+            .field("checkpoints", &self.checkpoints.len())
             .finish()
     }
 }
@@ -684,7 +884,7 @@ impl std::fmt::Debug for ScheduledSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsocc_coherence::{FaultPlan, ProtocolFault};
+    use tsocc_coherence::{FaultPlan, ProtocolFactory, ProtocolFault};
     use tsocc_mem::Addr;
     use tsocc_mesi_coarse::MesiCoarseConfig;
     use tsocc_proto::TsoCcConfig;
@@ -958,6 +1158,225 @@ mod tests {
             }
             if faults.protocol.is_some() {
                 assert!(deadlocks > 0, "{name}: no first run deadlocked");
+            }
+        }
+    }
+
+    /// Steps `a` and `b` through `msgs` (each delivered at cycle 0, then
+    /// both outboxes drained at `drain_at`), requiring them to agree on
+    /// every observable before and after each message.
+    fn agree<C: CacheController + ?Sized>(
+        a: &mut C,
+        b: &mut C,
+        msgs: &[(Agent, Msg)],
+        drain_at: Cycle,
+        what: &str,
+    ) {
+        let same = |a: &C, b: &C, when: &str| {
+            assert_eq!(a.probe(), b.probe(), "{what}: probe() {when}");
+            assert_eq!(a.next_event(), b.next_event(), "{what}: {when}");
+            assert_eq!(a.access_lines(), b.access_lines(), "{what}: {when}");
+        };
+        same(a, b, "after the copy");
+        for (src, msg) in msgs {
+            let when = format!("after {msg:?}");
+            a.handle_message(Cycle::ZERO, *src, msg.clone());
+            b.handle_message(Cycle::ZERO, *src, msg.clone());
+            same(a, b, &when);
+            let (mut sent_a, mut sent_b) = (Vec::new(), Vec::new());
+            a.drain_outbox(drain_at, &mut sent_a);
+            b.drain_outbox(drain_at, &mut sent_b);
+            assert_eq!(sent_a, sent_b, "{what}: sent {when}");
+        }
+    }
+
+    #[test]
+    fn a_controller_copy_carries_its_outbox_transactions_and_fault_state() {
+        use tsocc_coherence::{Epoch, Grant, MeshTopology, Ts};
+        use tsocc_mem::{CacheParams, LineData};
+        let shape = MachineShape {
+            n_cores: 2,
+            n_tiles: 2,
+            n_mem: 1,
+            mesh: MeshTopology::for_tiles(2),
+            l2_banks: 1,
+            l1_params: CacheParams::new(8, 2),
+            l2_params: CacheParams::new(16, 4),
+            l1_issue_latency: 1,
+            l2_latency: 4,
+            faults: FaultPlan {
+                protocol: Some(ProtocolFault::DropInvAck { core: 0 }),
+                ..FaultPlan::none()
+            },
+        };
+        // Both lines are homed on tile 0.
+        let (x, y) = (Addr::new(0x2000), Addr::new(0x2080));
+        let data = Msg::Data {
+            line: x.line(),
+            data: LineData::zeroed(),
+            grant: Grant::Exclusive,
+            writer: usize::MAX,
+            ts: Ts::INVALID,
+            epoch: Epoch::ZERO,
+            ts_source: None,
+            acks_expected: 0,
+            with_payload: true,
+            ack_required: true,
+        };
+        for p in [
+            Protocol::Mesi,
+            Protocol::MesiCoarse(MesiCoarseConfig::new(2, 2)),
+            Protocol::TsoCc(TsoCcConfig::basic()),
+        ] {
+            let what = p.name();
+            // MESI's requester collects the acks, TSO-CC's home tile.
+            let inv = Msg::Inv {
+                line: y.line(),
+                ack_to_requester: (p.coherence_discipline() == CoherenceDiscipline::Eager)
+                    .then_some(1),
+            };
+            // An L1 whose one-shot fault has fired (under MESI) and whose
+            // load miss waits in its outbox and its MSHR table.
+            let mut l1 = p.l1(0, &shape);
+            l1.handle_message(Cycle::ZERO, Agent::L2(0), inv.clone());
+            assert_eq!(l1.submit(Cycle::ZERO, CoreOp::Load(x)), Submit::Miss);
+            let mut copy = p.l1(0, &shape);
+            copy.copy_from(l1.as_ref());
+            assert_eq!(copy.stats(), l1.stats(), "{what}");
+            let msgs = [(Agent::L2(0), inv.clone()), (Agent::L2(0), data.clone())];
+            agree(l1.as_mut(), copy.as_mut(), &msgs, Cycle::new(1), &what);
+            let (mut done_l1, mut done_copy) = (Vec::new(), Vec::new());
+            l1.drain_completions(&mut done_l1);
+            copy.drain_completions(&mut done_copy);
+            assert_eq!(done_l1, done_copy, "{what}");
+            assert_eq!(done_l1.len(), 1, "{what}: the load completed");
+
+            // A tile with a memory fetch in flight and its request in
+            // its outbox.
+            let mut l2 = p.l2(0, &shape);
+            l2.handle_message(Cycle::ZERO, Agent::L1(0), Msg::GetS { line: x.line() });
+            let mut copy = p.l2(0, &shape);
+            copy.copy_from(l2.as_ref());
+            assert_eq!(copy.stats(), l2.stats(), "{what}");
+            let msgs = [
+                (Agent::L1(1), Msg::GetS { line: x.line() }),
+                (
+                    Agent::Mem(0),
+                    Msg::MemData {
+                        line: x.line(),
+                        data: LineData::zeroed(),
+                    },
+                ),
+            ];
+            agree(l2.as_mut(), copy.as_mut(), &msgs, Cycle::new(4), &what);
+        }
+    }
+
+    /// Whether some thread's store-buffer head is in flight at its L1.
+    fn store_in_flight(s: &ScheduledSystem) -> bool {
+        s.threads
+            .iter()
+            .any(|th| !th.buffer.is_empty() && !th.buffer.can_offer())
+    }
+
+    #[test]
+    fn a_restored_machine_behaves_like_one_that_replayed_its_prefix() {
+        let drop_inv_ack = FaultPlan {
+            protocol: Some(ProtocolFault::DropInvAck { core: 0 }),
+            ..FaultPlan::none()
+        };
+        let machines = [
+            ("MESI", Protocol::Mesi, FaultPlan::none()),
+            (
+                "MESI-P2-G2",
+                Protocol::MesiCoarse(MesiCoarseConfig::new(2, 2)),
+                FaultPlan::none(),
+            ),
+            (
+                "TSO-CC-4-basic",
+                Protocol::TsoCc(TsoCcConfig::basic()),
+                FaultPlan::none(),
+            ),
+            ("MESI with DropInvAck", Protocol::Mesi, drop_inv_ack),
+        ];
+        // The programs of `a_reset_machine_behaves_like_a_new_one`: an
+        // invalidation of core 0's copy of X (where DropInvAck strikes)
+        // races a store and loads on a second line.
+        let programs = || vec![vec![ld(X), st(Z, 1), ld(Z)], vec![ld(X), st(X, 1), ld(Z)]];
+        for (name, protocol, faults) in machines {
+            let cfg = SystemConfig::builder()
+                .small()
+                .cores(2)
+                .protocol(protocol)
+                .faults(faults)
+                .build()
+                .unwrap();
+            let build = || ScheduledSystem::new(&cfg, programs()).unwrap();
+            let (mut checked, mut deadlocks, mut replayed_deadlocks) = (0, 0, 0);
+            for seed in 0..16 {
+                let what = format!("{name}, seed {seed}");
+                let mut machine = build();
+                let mut pick = RandomChoice(SplitMix64::new(seed));
+                // Run to a state with messages queued on several
+                // channels and a store in flight.
+                let mut prefix = Vec::new();
+                let reached = loop {
+                    let enabled = machine.enabled();
+                    let queued = enabled
+                        .iter()
+                        .filter(|c| matches!(c, Choice::Deliver { .. }))
+                        .count();
+                    if queued >= 2 && store_in_flight(&machine) {
+                        break true;
+                    }
+                    if enabled.is_empty() {
+                        break false;
+                    }
+                    let c = enabled[pick.pick(&enabled).unwrap()];
+                    prefix.push(c);
+                    machine.apply(c);
+                };
+                if !reached {
+                    continue;
+                }
+                checked += 1;
+                let checkpoint = machine.checkpoint();
+                // Run on to a terminal state, checkpointing once more on
+                // the way; restoring the first drops the second.
+                for step in 0.. {
+                    let enabled = machine.enabled();
+                    if enabled.is_empty() {
+                        break;
+                    }
+                    if step == 3 {
+                        machine.checkpoint();
+                    }
+                    machine.apply(enabled[pick.pick(&enabled).unwrap()]);
+                }
+                deadlocks += usize::from(machine.stuck() == Terminal::Deadlock);
+                // Restore twice: each time the machine must step like
+                // one that replayed the prefix from scratch.
+                for round in 0..2 {
+                    let what = format!("{what}, restore {round}");
+                    machine.restore(checkpoint);
+                    assert_eq!(machine.checkpoints.len(), 2, "{what}: checkpoints left");
+                    let mut replayed = build();
+                    let end = replayed.run(&mut ReplaySchedule::new(prefix.clone()), u64::MAX);
+                    assert_eq!(end, None, "{what}: the prefix ended the run");
+                    assert_eq!(replayed.transitions(), prefix.len() as u64, "{what}");
+                    lockstep(&mut machine, &mut replayed, seed * 2 + round + 100, &what);
+                    replayed_deadlocks += usize::from(replayed.stuck() == Terminal::Deadlock);
+                }
+            }
+            assert!(
+                checked >= 8,
+                "{name}: only {checked} runs reached the state"
+            );
+            if faults.protocol.is_some() {
+                // The one-shot fault fired after the checkpoint, and
+                // fired again after the restores.
+                assert!(deadlocks > 0, "{name}: no run deadlocked");
+                assert!(replayed_deadlocks > 0, "{name}: no restored run deadlocked");
             }
         }
     }

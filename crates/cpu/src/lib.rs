@@ -232,10 +232,17 @@ impl StoreBuffer {
         self.stores.is_empty()
     }
 
-    /// Empties the buffer, keeping its capacity.
-    pub fn clear(&mut self) {
-        self.stores.clear();
-        self.head_in_flight = false;
+    /// Makes `self` a copy of `src`, keeping `self`'s storage. Lists
+    /// every field, so a new one cannot be forgotten here.
+    pub fn copy_from(&mut self, src: &StoreBuffer) {
+        let StoreBuffer {
+            stores,
+            capacity,
+            head_in_flight,
+        } = self;
+        stores.clone_from(&src.stores);
+        *capacity = src.capacity;
+        *head_in_flight = src.head_in_flight;
     }
 }
 

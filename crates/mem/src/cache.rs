@@ -295,6 +295,27 @@ impl<T> CacheArray<T> {
     }
 }
 
+impl<T: Clone> CacheArray<T> {
+    /// Makes `self` a copy of `src`, an array of the same geometry: the
+    /// same lines in the same ways with the same recency, so both pick
+    /// the same victims from here on. Keeps `self`'s set storage and
+    /// skips the sets that are empty in both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometries differ.
+    pub fn copy_from(&mut self, src: &CacheArray<T>) {
+        let CacheArray { params, sets, tick } = self;
+        assert_eq!(*params, src.params, "copy between unlike cache arrays");
+        for (set, from) in sets.iter_mut().zip(&src.sets) {
+            if !(set.is_empty() && from.is_empty()) {
+                set.clone_from(from);
+            }
+        }
+        *tick = src.tick;
+    }
+}
+
 impl<T: fmt::Debug> fmt::Debug for CacheArray<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -432,6 +453,34 @@ mod tests {
         let mut lines: Vec<u64> = c.iter().map(|(la, _)| la.as_u64()).collect();
         lines.sort_unstable();
         assert_eq!(lines, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_copy_evicts_the_same_victim_as_its_source() {
+        // The source's recency tick runs far ahead of a fresh array's:
+        // a copy that kept its own tick would stamp the next touch below
+        // every copied way and evict the line just touched.
+        let mut src = tiny();
+        for round in 0..50 {
+            src.lookup(l(round % 3));
+        }
+        src.insert(l(0), 0, 0, |_, _| true);
+        src.insert(l(2), 2, 0, |_, _| true);
+        src.lookup(l(0));
+        let mut copy = tiny();
+        copy.insert(l(1), 1, 0, |_, _| true);
+        copy.copy_from(&src);
+        let mut lines: Vec<(u64, u32)> = copy.iter().map(|(la, &e)| (la.as_u64(), e)).collect();
+        lines.sort_unstable();
+        assert_eq!(lines, vec![(0, 0), (2, 2)]);
+        for c in [&mut src, &mut copy] {
+            // Line 2 becomes most recent, so line 0 is the victim.
+            c.lookup(l(2));
+            match c.insert(l(4), 4, 0, |_, _| true) {
+                InsertOutcome::Evicted(victim, _) => assert_eq!(victim, l(0)),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -30,12 +30,36 @@ fn mix(key: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Slot<T> {
     Empty,
     /// A removed entry; probes continue past it, inserts may reuse it.
     Tombstone,
     Full(u64, T),
+}
+
+impl<T: Clone> Clone for Slot<T> {
+    fn clone(&self) -> Self {
+        match self {
+            Slot::Empty => Slot::Empty,
+            Slot::Tombstone => Slot::Tombstone,
+            Slot::Full(k, v) => Slot::Full(*k, v.clone()),
+        }
+    }
+
+    /// Leaves a slot alone when both sides are empty, and copies a live
+    /// entry over a live one through `T::clone_from`, which keeps the
+    /// value's allocations.
+    fn clone_from(&mut self, src: &Self) {
+        match (self, src) {
+            (Slot::Empty, Slot::Empty) | (Slot::Tombstone, Slot::Tombstone) => {}
+            (Slot::Full(k, v), Slot::Full(sk, sv)) => {
+                *k = *sk;
+                v.clone_from(sv);
+            }
+            (slot, src) => *slot = src.clone(),
+        }
+    }
 }
 
 /// The raw open-addressed table, keyed by bare `u64`. [`LineMap`] wraps
@@ -203,6 +227,18 @@ impl<T> FxMap<T> {
     }
 }
 
+impl<T: Clone> FxMap<T> {
+    /// Makes `self` a slot-for-slot copy of `src` (tombstones and
+    /// capacity included, so every probe finds what it finds in `src`),
+    /// keeping `self`'s slot array where it is large enough.
+    pub(crate) fn copy_from(&mut self, src: &FxMap<T>) {
+        let FxMap { slots, len, used } = self;
+        slots.clone_from(&src.slots);
+        *len = src.len;
+        *used = src.used;
+    }
+}
+
 /// An open-addressed hash map keyed by [`LineAddr`], tuned for the
 /// per-line transaction tables on the simulator's hot paths (L1 MSHRs,
 /// L2 busy tables, writeback buffers).
@@ -288,6 +324,16 @@ impl<T> LineMap<T> {
     }
 }
 
+impl<T: Clone> LineMap<T> {
+    /// Makes `self` a copy of `src` that answers every lookup as `src`
+    /// does, whatever either table's capacity. Keeps `self`'s table and
+    /// its entries' allocations where they fit.
+    pub fn copy_from(&mut self, src: &LineMap<T>) {
+        let LineMap { raw } = self;
+        raw.copy_from(&src.raw);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,6 +411,47 @@ mod tests {
         }
         for i in (1..512u64).step_by(2) {
             assert_eq!(m.get(LineAddr::new(i << 32)), Some(&i));
+        }
+    }
+
+    #[test]
+    fn a_copy_answers_every_lookup_as_its_source() {
+        let key = |i: u64| LineAddr::new(i * 64);
+        // A large table with tombstones, and a small one with other
+        // entries and tombstones of its own.
+        let mut large: LineMap<Vec<u64>> = LineMap::new();
+        for i in 0..40 {
+            large.insert(key(i), vec![i]);
+        }
+        for i in (0..40).step_by(3) {
+            large.remove(key(i));
+        }
+        let mut small: LineMap<Vec<u64>> = LineMap::new();
+        for i in 35..45 {
+            small.insert(key(i), vec![i, i]);
+        }
+        small.remove(key(36));
+        assert!(large.raw.slots.len() > small.raw.slots.len());
+        let agree = |a: &LineMap<Vec<u64>>, b: &LineMap<Vec<u64>>, what: &str| {
+            assert_eq!(a.len(), b.len(), "{what}");
+            for i in 0..50 {
+                assert_eq!(a.get(key(i)), b.get(key(i)), "{what}: line {i}");
+            }
+        };
+        for (from, into) in [(&large, small.clone()), (&small, large.clone())] {
+            let mut copy = into;
+            copy.copy_from(from);
+            agree(&copy, from, "after the copy");
+            // Both sides keep agreeing through further churn.
+            let mut from = from.clone();
+            for i in 30..50 {
+                assert_eq!(copy.remove(key(i)), from.remove(key(i)), "line {i}");
+                assert_eq!(
+                    copy.insert(key(i + 1), vec![0]),
+                    from.insert(key(i + 1), vec![0])
+                );
+            }
+            agree(&copy, &from, "after churn");
         }
     }
 

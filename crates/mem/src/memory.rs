@@ -133,6 +133,13 @@ impl MainMemory {
             .sum()
     }
 
+    /// Makes `self` a copy of `src`, keeping `self`'s page table and the
+    /// pages both hold.
+    pub fn copy_from(&mut self, src: &MainMemory) {
+        let MainMemory { pages } = self;
+        pages.copy_from(&src.pages);
+    }
+
     /// Iterates over every line ever written, **sorted by line
     /// address**. This ordering is a guarantee (relied on by
     /// `System::memory_image` and the cross-stepper/protocol parity
@@ -211,6 +218,20 @@ mod tests {
             mem.lines().map(|(l, _)| l).collect::<Vec<_>>(),
             vec![LineAddr::new(5)]
         );
+    }
+
+    #[test]
+    fn a_copy_reads_as_its_source() {
+        let mut src = MainMemory::new();
+        src.write_word(Addr::new(0x40), 7);
+        src.write_word(Addr::new(0x10_0000), 9);
+        let mut copy = MainMemory::new();
+        copy.write_word(Addr::new(0x40), 1);
+        copy.write_word(Addr::new(0x2000), 2);
+        copy.copy_from(&src);
+        let image = |m: &MainMemory| m.lines().map(|(l, d)| (l, *d)).collect::<Vec<_>>();
+        assert_eq!(image(&copy), image(&src));
+        assert_eq!(copy.read_word(Addr::new(0x2000)), 0);
     }
 
     #[test]

@@ -32,7 +32,7 @@ enum MshrOp {
 }
 
 /// One in-flight MESI L1 miss (opaque outside the policy).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Mshr {
     op: MshrOp,
     /// Grant + data, once the data response has arrived.
@@ -286,6 +286,10 @@ impl MesiL1Policy {
 impl L1Policy for MesiL1Policy {
     type Line = Line;
     type Mshr = Mshr;
+
+    fn copy_from(&mut self, src: &Self) {
+        *self = *src;
+    }
 
     fn submit(&mut self, ch: &mut Ch, now: Cycle, op: CoreOp) -> Submit {
         match op {

@@ -123,7 +123,7 @@ pub struct Line<S> {
 
 /// Transaction states of the blocking MESI directory (opaque outside
 /// the policy).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum BusyKind {
     /// Waiting for memory data, then granting Exclusive to `requester`.
     Fetch { requester: usize },
@@ -306,6 +306,10 @@ impl<S: SharerSet> MesiL2Policy<S> {
 impl<S: SharerSet> L2Policy for MesiL2Policy<S> {
     type Line = Line<S>;
     type Busy = BusyKind;
+
+    fn copy_from(&mut self, src: &Self) {
+        *self = *src;
+    }
 
     fn gets(&mut self, ch: &mut Ch<S>, now: Cycle, line: LineAddr, requester: usize) {
         let Some(l) = ch.cache.lookup_mut(line) else {

@@ -28,7 +28,12 @@
 //!   ([`tsocc_check::mutation_cases`] placed by `--seed`); every fault
 //!   must be caught and shrink to a re-verified minimal reproducer.
 //!
-//! Exit status: 1 if a clean-mode violation was found, a mutation
+//! Each protocol's report carries its explored tree's totals
+//! (`schedules`, `transitions`, `sleep_blocked`) and `replayed`, the
+//! transitions the search re-applied while backtracking.
+//!
+//! Exit status: 1 if a clean-mode violation was found, a protocol's
+//! search hit its schedule cap (`"complete": false`), a mutation
 //! escaped, or the budget expired before the run finished; 2 if
 //! `--cores` is below 2, `--lines` is neither 1 nor 2, or the checker
 //! rejects the configuration.
@@ -153,6 +158,7 @@ pub fn main(args: Vec<String>) {
             checked += 1;
             totals.schedules += report.schedules;
             totals.transitions += report.transitions;
+            totals.replayed += report.replayed;
             totals.sleep_blocked += report.sleep_blocked;
             totals.complete &= report.complete;
             for v in &report.violations {
@@ -207,15 +213,14 @@ pub fn main(args: Vec<String>) {
             .u64("schedules", r.report.schedules)
             .u64("transitions", r.report.transitions)
             .u64("sleep_blocked", r.report.sleep_blocked)
+            .u64("replayed", r.report.replayed)
             .u64("violations_total", r.report.violations.len() as u64)
             .raw("violations", json::array(violations))
             .raw("complete", bool_json(r.report.complete))
             .raw("budget_exhausted", bool_json(r.budget_exhausted))
             .build()
     });
-    let all_clean = results
-        .iter()
-        .all(|r| r.report.violations.is_empty() && !r.budget_exhausted);
+    let all_clean = results.iter().all(|r| clean(&r.report, r.budget_exhausted));
     let doc = json::Object::new()
         .str("schema", "tsocc-model-check/v1")
         .u64("seed", seed)
@@ -234,6 +239,13 @@ pub fn main(args: Vec<String>) {
     if !all_clean {
         std::process::exit(1);
     }
+}
+
+/// The clean-mode verdict on one protocol's summed report: no
+/// violation, every program's search ran to exhaustion (none hit its
+/// schedule cap), and the budget did not expire.
+fn clean(report: &CheckReport, budget_exhausted: bool) -> bool {
+    report.violations.is_empty() && report.complete && !budget_exhausted
 }
 
 /// Checks the store-buffering program on `protocol` with and without
@@ -352,5 +364,35 @@ fn bool_json(b: bool) -> &'static str {
         "true"
     } else {
         "false"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_search_cut_off_at_its_schedule_cap_fails_the_run() {
+        let finished = CheckReport {
+            complete: true,
+            ..CheckReport::default()
+        };
+        assert!(clean(&finished, false));
+        assert!(!clean(&finished, true), "an expired budget fails");
+        // The program's tree was cut off at the cap: no violation, but
+        // not a proof either.
+        let capped = check_model(
+            &Protocol::Mesi,
+            FaultPlan::none(),
+            &sb(),
+            &pool_for_lines(1),
+            &CheckOpts {
+                max_schedules: 10,
+                ..CheckOpts::default()
+            },
+        )
+        .unwrap();
+        assert!(capped.violations.is_empty() && !capped.complete);
+        assert!(!clean(&capped, false));
     }
 }

@@ -44,7 +44,7 @@ enum MshrOp {
 }
 
 /// One in-flight TSO-CC L1 miss (opaque outside the policy).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Mshr {
     op: MshrOp,
     /// An invalidation raced past the data response (SharedRO broadcast
@@ -414,6 +414,28 @@ impl TsoCcL1Policy {
 impl L1Policy for TsoCcL1Policy {
     type Line = Line;
     type Mshr = Mshr;
+
+    /// Lists every field, so a new one cannot be forgotten here.
+    fn copy_from(&mut self, src: &Self) {
+        let TsoCcL1Policy {
+            proto,
+            ts_src,
+            wg_count,
+            epoch,
+            ts_l1,
+            epochs_l1,
+            ts_l2,
+            epochs_l2,
+        } = self;
+        *proto = src.proto;
+        *ts_src = src.ts_src;
+        *wg_count = src.wg_count;
+        *epoch = src.epoch;
+        ts_l1.clone_from(&src.ts_l1);
+        epochs_l1.clone_from(&src.epochs_l1);
+        ts_l2.clone_from(&src.ts_l2);
+        epochs_l2.clone_from(&src.epochs_l2);
+    }
 
     fn submit(&mut self, ch: &mut Ch, now: Cycle, op: CoreOp) -> Submit {
         match op {

@@ -42,7 +42,7 @@ pub struct Line {
 
 /// Transaction states of the TSO-CC directory (opaque outside the
 /// policy).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum BusyKind {
     /// Waiting for memory data, then granting Exclusive to `requester`.
     Fetch { requester: usize },
@@ -400,6 +400,26 @@ impl TsoCcL2Policy {
 impl L2Policy for TsoCcL2Policy {
     type Line = Line;
     type Busy = BusyKind;
+
+    /// Lists every field, so a new one cannot be forgotten here.
+    fn copy_from(&mut self, src: &Self) {
+        let TsoCcL2Policy {
+            proto,
+            tile_ts,
+            tile_epoch,
+            flag_dirty_path,
+            flag_entered_shared,
+            ts_l1,
+            epochs_l1,
+        } = self;
+        *proto = src.proto;
+        *tile_ts = src.tile_ts;
+        *tile_epoch = src.tile_epoch;
+        *flag_dirty_path = src.flag_dirty_path;
+        *flag_entered_shared = src.flag_entered_shared;
+        ts_l1.clone_from(&src.ts_l1);
+        epochs_l1.clone_from(&src.epochs_l1);
+    }
 
     fn gets(&mut self, ch: &mut Ch, now: Cycle, line: LineAddr, requester: usize) {
         let Some(l) = ch.cache.lookup(line).copied() else {
