@@ -49,24 +49,18 @@
 //! quantifies the pruning.
 //!
 //! Each [`check_model`] call builds one [`tsocc::ScheduledSystem`] and
-//! backtracks it through checkpoints
-//! ([`tsocc::ScheduledSystem::checkpoint`]): the explorer keeps a
-//! `(depth, checkpoint)` entry for some frames of the current path. To
-//! backtrack to depth k it drops the entries deeper than k, restores
-//! the deepest one left (or the root), re-applies the choices between
-//! that checkpoint and k, and takes a checkpoint at k if it re-applied
-//! any. So later backtracks to k, and to the frames below it, replay
-//! from k instead of from the root; [`CheckReport::replayed`] counts
-//! the transitions re-applied. A restored machine is the machine a
-//! replay from the root reaches, so the search order, the backtrack
-//! obligations and the sleep sets are unchanged, and so is the explored
-//! tree.
+//! walks it down and up the tree: a descent applies a choice, and a
+//! backtrack pops the exhausted frame and undoes its parent's choice
+//! ([`tsocc::ScheduledSystem::undo`]). No transition is applied twice,
+//! and an undone machine is the machine a replay from the root reaches,
+//! so the search order, the backtrack obligations and the sleep sets
+//! are those of a search that replays, and so is the explored tree. The
+//! machine's undo log is the current path: race detection reads the
+//! earlier steps' footprints from it ([`tsocc::ScheduledSystem::path`]).
 //!
-//! Popped frames hand their enabled lists to new ones, every applied
-//! step records its emitted channels into the list of a step already
-//! undone ([`tsocc::ScheduledSystem::apply_reusing`]), the axiom check
-//! and the terminal outcome reuse one buffer each, and a checkpoint
-//! reuses the buffers of a dropped one, so the explorer allocates
+//! Popped frames hand their enabled lists to new ones, the machine
+//! reuses the buffers of undone steps, and the axiom check and the
+//! terminal outcome reuse one buffer each, so the explorer allocates
 //! nothing per transition. The protocol controllers may still allocate
 //! inside a transition.
 //!
@@ -78,7 +72,7 @@
 
 use std::collections::BTreeSet;
 
-use tsocc::{Channel, Checkpoint, Choice, ScheduledSystem, StepInfo, SystemConfig, Terminal};
+use tsocc::{Choice, ScheduledSystem, StepInfo, SystemConfig, Terminal};
 use tsocc_coherence::{Agent, CoherenceDiscipline, FaultPlan, LineAccess};
 use tsocc_conform::{core_ops, shrink};
 use tsocc_mem::LineAddr;
@@ -222,12 +216,9 @@ impl std::error::Error for CheckError {}
 pub struct CheckReport {
     /// Terminal schedules reached.
     pub schedules: u64,
-    /// Transitions executed on first exploration (prefix replays during
-    /// backtracking excluded).
+    /// Transitions applied. Backtracking undoes transitions and never
+    /// re-applies one, so each edge of the explored tree counts once.
     pub transitions: u64,
-    /// Transitions re-applied while backtracking: those between the
-    /// restored checkpoint and the frame backtracked to.
-    pub replayed: u64,
     /// Branches pruned because every enabled choice was asleep.
     pub sleep_blocked: u64,
     /// Every outcome observed across all explored schedules.
@@ -472,19 +463,10 @@ fn bit(index: usize) -> Mask {
     1 << index
 }
 
-/// One executed transition in the current trace.
-#[derive(Clone, Debug)]
-struct ExecStep {
-    choice: Choice,
-    /// Its position in the frame's `enabled` list.
-    index: usize,
-    info: StepInfo,
-}
-
 /// The DFS frame for one depth of the current trace.
 struct Frame {
     /// Enabled choices at this state, in the scheduler's canonical
-    /// order (identical on every replay). At most [`MAX_FRAME_WIDTH`].
+    /// order (identical on every visit). At most [`MAX_FRAME_WIDTH`].
     enabled: Vec<Choice>,
     /// Choices fully explored from this state.
     done: Mask,
@@ -493,8 +475,9 @@ struct Frame {
     /// Choices proven redundant here (explored at an ancestor and
     /// still independent of everything since).
     sleep: Mask,
-    /// The choice currently being explored below this frame.
-    chosen: Option<ExecStep>,
+    /// The index in `enabled` of the choice currently being explored
+    /// below this frame.
+    chosen: Option<usize>,
 }
 
 impl Frame {
@@ -506,6 +489,11 @@ impl Frame {
             sleep,
             chosen: None,
         }
+    }
+
+    /// The choice currently being explored below this frame.
+    fn chosen(&self) -> Choice {
+        self.enabled[self.chosen.expect("an executed frame")]
     }
 
     /// Every enabled choice.
@@ -544,14 +532,8 @@ struct Explorer {
     refine_lines: bool,
     opts: CheckOpts,
     report: CheckReport,
-    /// `(depth, checkpoint)` entries along the current path, shallowest
-    /// first; the root checkpoint stands in at depth 0 when none is
-    /// left.
-    checkpoints: Vec<(usize, Checkpoint)>,
     /// The `enabled` lists of popped frames, recycled by new ones.
     spare_lists: Vec<Vec<Choice>>,
-    /// The `emitted` lists of undone steps, recycled by new ones.
-    spare_emitted: Vec<Vec<Channel>>,
     /// The axiom check's buffer of `(line, access, core)` holdings.
     held: Vec<(LineAddr, LineAccess, usize)>,
     /// The buffer a terminal state's outcome is read into.
@@ -568,9 +550,7 @@ impl Explorer {
                 complete: true,
                 ..CheckReport::default()
             },
-            checkpoints: Vec::new(),
             spare_lists: Vec::new(),
-            spare_emitted: Vec::new(),
             held: Vec::new(),
             outcome: Vec::new(),
         }
@@ -630,25 +610,20 @@ impl Explorer {
                 continue;
             };
             let choice = frame.enabled[index];
-            let info = state.apply_reusing(choice, self.spare_emitted.pop().unwrap_or_default());
-            self.report.transitions += 1;
-            if !self.opts.naive {
-                self.plant_backtrack(&mut frames, choice, &info);
-            }
+            frames.last_mut().expect("frame").chosen = Some(index);
             // Only an L1 transition can change an L1's permissions:
             // deliveries to an L2 or a memory controller leave the
             // axioms as the previous check found them.
-            let at_l1 = matches!(info.ctrl, Agent::L1(_));
-            frames.last_mut().expect("frame").chosen = Some(ExecStep {
-                choice,
-                index,
-                info,
-            });
+            let at_l1 = matches!(state.apply(choice).ctrl, Agent::L1(_));
+            self.report.transitions += 1;
+            if !self.opts.naive {
+                self.plant_backtrack(&mut frames, &state);
+            }
             if at_l1 {
                 self.check_axioms(&mut state, &frames);
             }
             let enabled = self.enabled_choices(&state)?;
-            let sleep = self.child_sleep(frames.last().expect("frame"), &enabled);
+            let sleep = self.child_sleep(frames.last().expect("frame"), &state, &enabled);
             frames.push(Frame::new(enabled, sleep));
         }
     }
@@ -681,12 +656,17 @@ impl Explorer {
     /// same-line store buffering). Planting at all of them
     /// over-approximates the obligation set, trading some pruning for
     /// unconditional coverage; the sleep sets claw most of it back.
-    fn plant_backtrack(&self, frames: &mut [Frame], choice: Choice, info: &StepInfo) {
+    ///
+    /// The step just taken is the last one on `state`'s path, and the
+    /// chosen step of the deepest frame.
+    fn plant_backtrack(&self, frames: &mut [Frame], state: &ScheduledSystem) {
+        let mut path = state.path().rev();
+        let info = path.next().expect("the step just taken");
+        let (current, prefix) = frames.split_last_mut().expect("current frame");
+        let choice = current.chosen();
         let p = process(choice);
-        let (_, prefix) = frames.split_last_mut().expect("current frame");
-        for frame in prefix.iter_mut().rev() {
-            let prior = frame.chosen.as_ref().expect("executed frame");
-            if !self.dependent(prior, choice, info) {
+        for (frame, prior) in prefix.iter_mut().rev().zip(path) {
+            if !self.dependent((frame.chosen(), prior), choice, info) {
                 continue;
             }
             let alts = frame.of_process(&p);
@@ -699,24 +679,23 @@ impl Explorer {
     /// Whether executed `prior` and the just-executed `(choice, info)`
     /// are dependent (do not commute, or affect each other's
     /// enabledness).
-    fn dependent(&self, prior: &ExecStep, choice: Choice, info: &StepInfo) -> bool {
-        if prior.info.ctrl == info.ctrl {
+    fn dependent(
+        &self,
+        (prior_choice, prior): (Choice, &StepInfo),
+        choice: Choice,
+        info: &StepInfo,
+    ) -> bool {
+        if prior.ctrl == info.ctrl {
             // Same controller: dependent, except two deliveries for
             // different lines whose emissions touch disjoint channels
             // (no shared FIFO order to disturb, no shared line state —
             // and no evictions by pool construction).
             if self.refine_lines
-                && matches!(prior.choice, Choice::Deliver { .. })
+                && matches!(prior_choice, Choice::Deliver { .. })
                 && matches!(choice, Choice::Deliver { .. })
             {
-                if let (Some(a), Some(b)) = (prior.info.line, info.line) {
-                    if a != b
-                        && prior
-                            .info
-                            .emitted
-                            .iter()
-                            .all(|ch| !info.emitted.contains(ch))
-                    {
+                if let (Some(a), Some(b)) = (prior.line, info.line) {
+                    if a != b && prior.emitted.iter().all(|ch| !info.emitted.contains(ch)) {
                         return false;
                     }
                 }
@@ -727,11 +706,11 @@ impl Explorer {
         // a delivery racing with the push that enqueued (or enabled)
         // its message.
         if let Choice::Deliver { channel } = choice {
-            if prior.info.emitted.contains(&channel) {
+            if prior.emitted.contains(&channel) {
                 return true;
             }
         }
-        if let Choice::Deliver { channel } = prior.choice {
+        if let Choice::Deliver { channel } = prior_choice {
             if info.emitted.contains(&channel) {
                 return true;
             }
@@ -740,20 +719,20 @@ impl Explorer {
     }
 
     /// The sleep set for the child of `frame` (whose `chosen` step was
-    /// just taken), over the child's `enabled` list: everything fully
-    /// explored or asleep at the parent that stays independent of the
-    /// executed step.
-    fn child_sleep(&self, frame: &Frame, enabled: &[Choice]) -> Mask {
+    /// just taken, the last one on `state`'s path), over the child's
+    /// `enabled` list: everything fully explored or asleep at the parent
+    /// that stays independent of the executed step.
+    fn child_sleep(&self, frame: &Frame, state: &ScheduledSystem, enabled: &[Choice]) -> Mask {
         if self.opts.naive {
             return 0;
         }
-        let step = frame.chosen.as_ref().expect("chosen step");
+        let step = state.path().next_back().expect("the step just taken");
         let mut carried = frame.sleep | frame.done;
         let mut sleep = 0;
         while carried != 0 {
             let s = frame.enabled[carried.trailing_zeros() as usize];
             carried &= carried - 1;
-            if !sleeps_through(s, &step.info) {
+            if !sleeps_through(s, step) {
                 continue;
             }
             // An independent step can neither advance a sleeping
@@ -766,12 +745,9 @@ impl Explorer {
         sleep
     }
 
-    /// Pops exhausted frames and marks their choices done, down to the
-    /// deepest frame with a choice left, and returns `state` to that
-    /// frame's state: drops the checkpoints deeper than it, restores
-    /// the deepest one left (or the root), re-applies the choices in
-    /// between, and checkpoints the frame if it re-applied any. Returns
-    /// `false` when the whole tree is exhausted.
+    /// Pops exhausted frames, marks their choices done and undoes them,
+    /// down to the deepest frame with a choice left. Returns `false`
+    /// when the whole tree is exhausted.
     fn backtrack(&mut self, frames: &mut Vec<Frame>, state: &mut ScheduledSystem) -> bool {
         loop {
             let exhausted = frames.pop().expect("a current frame");
@@ -779,28 +755,10 @@ impl Explorer {
             let Some(frame) = frames.last_mut() else {
                 return false;
             };
-            let step = frame.chosen.take().expect("ancestor frames have chosen");
-            frame.done |= bit(step.index);
-            self.spare_emitted.push(step.info.emitted);
+            let index = frame.chosen.take().expect("ancestor frames have chosen");
+            frame.done |= bit(index);
+            state.undo();
             if self.pick(frame).is_some() {
-                let depth = frames.len() - 1;
-                while self.checkpoints.pop_if(|&mut (at, _)| at > depth).is_some() {}
-                let (from, checkpoint) = self
-                    .checkpoints
-                    .last()
-                    .copied()
-                    .unwrap_or((0, Checkpoint::ROOT));
-                state.restore(checkpoint);
-                for f in &frames[from..depth] {
-                    let choice = f.chosen.as_ref().expect("prefix frame").choice;
-                    let spare = self.spare_emitted.pop().unwrap_or_default();
-                    self.spare_emitted
-                        .push(state.apply_reusing(choice, spare).emitted);
-                }
-                if depth > from {
-                    self.report.replayed += (depth - from) as u64;
-                    self.checkpoints.push((depth, state.checkpoint()));
-                }
                 return true;
             }
         }
@@ -844,7 +802,7 @@ impl Explorer {
     fn violation(&mut self, kind: ViolationKind, frames: &[Frame]) {
         let schedule = frames
             .iter()
-            .filter_map(|f| f.chosen.as_ref().map(|s| s.choice))
+            .filter_map(|f| f.chosen.map(|i| f.enabled[i]))
             .collect();
         self.report
             .violations
@@ -925,13 +883,11 @@ mod tests {
         assert!(report.outcomes.contains(&vec![0, 0]));
         // The explored tree's (schedules, transitions, sleep-blocked)
         // totals: any change to the exploration order, the race
-        // detection or the sleep sets moves them. Beside them, the
-        // transitions re-applied while backtracking from checkpoints.
+        // detection or the sleep sets moves them.
         assert_eq!(
             (report.schedules, report.transitions, report.sleep_blocked),
             (6_216, 62_782, 8_997)
         );
-        assert_eq!(report.replayed, 60_579);
     }
 
     #[test]
@@ -985,6 +941,33 @@ mod tests {
         .unwrap();
         assert!(dpor.complete && dpor.violations.is_empty());
         assert_eq!(dpor.outcomes, dpor.allowed);
+    }
+
+    #[test]
+    fn dpor_matches_naive_search_on_every_one_op_program() {
+        // Naive search explores every schedule, so it also backtracks,
+        // and undoes transitions, far more often than DPOR does.
+        let family = tsocc_workloads::tso_model::generate_two_thread_programs(1);
+        for name in ["MESI", "MESI-P2-G2", "TSO-CC-4-basic"] {
+            let protocol = Protocol::from_name(name).unwrap();
+            for lines in [1, 2] {
+                let pool = pool_for_lines(lines);
+                for program in &family {
+                    let what = format!("{name}, {lines} line(s), {program:?}");
+                    let check = |naive| {
+                        let opts = CheckOpts {
+                            naive,
+                            ..CheckOpts::default()
+                        };
+                        check_model(&protocol, FaultPlan::none(), program, &pool, &opts).unwrap()
+                    };
+                    let (dpor, naive) = (check(false), check(true));
+                    assert!(naive.complete, "{what}: the naive search was cut off");
+                    assert!(dpor.complete, "{what}: the DPOR search was cut off");
+                    assert_eq!(dpor.outcomes, naive.outcomes, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ fn rotated_placement_is_still_caught() {
 #[test]
 fn every_reported_violation_replays_on_a_freshly_built_machine() {
     // The explorer builds each reported schedule on one machine that it
-    // resets and re-drives, about a thousand times for skip_ts_reset.
+    // drives down and undoes, about a thousand times for skip_ts_reset.
     // Replayed on a machine built for the purpose, the schedule must
     // reach the violation the checker reported.
     let mut replayed = 0;

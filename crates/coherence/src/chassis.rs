@@ -856,8 +856,10 @@ impl<P: L2Policy + 'static> CacheController for L2Ctl<P> {
     }
 
     fn tick(&mut self, now: Cycle) {
-        let pending: Vec<_> = self.chassis.replay.drain(..).collect();
-        for (src, msg) in pending {
+        // Only the requests queued when the tick starts: those released
+        // while they are processed wait for the next tick.
+        for _ in 0..self.chassis.replay.len() {
+            let (src, msg) = self.chassis.replay.pop_front().expect("a queued request");
             self.process_request(now, src, msg);
         }
     }

@@ -201,9 +201,9 @@ pub trait CacheController: Any {
 
     /// Makes `self` a copy of `src`, a controller the same factory built
     /// for the same agent, keeping `self`'s allocations. The model
-    /// checker saves and restores controllers this way
-    /// (`tsocc::ScheduledSystem`'s checkpoints), without building or
-    /// cloning one.
+    /// checker saves a controller this way before each transition that
+    /// touches it (`tsocc::ScheduledSystem`'s undo log), into a buffer
+    /// it reuses, without building or cloning one.
     ///
     /// # Panics
     ///

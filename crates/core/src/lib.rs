@@ -55,7 +55,7 @@ pub mod system;
 pub use config::{ConfigError, Stepper, SystemConfig, SystemConfigBuilder};
 pub use hang::HangReport;
 pub use scheduler::{
-    Channel, Checkpoint, Choice, ReplaySchedule, ScheduledSystem, Scheduler, StepInfo, Terminal,
+    Channel, Choice, ReplaySchedule, ScheduledSystem, Scheduler, StepInfo, Terminal,
 };
 pub use stats::RunStats;
 pub use system::{RunError, System};

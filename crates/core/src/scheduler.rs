@@ -1,6 +1,6 @@
 //! The scheduler seam: a choice-at-a-time drive of the coherence
-//! controllers for the stateless model checker (`tsocc-check`), with
-//! checkpoints to backtrack to.
+//! controllers for the stateless model checker (`tsocc-check`), with an
+//! undo log to backtrack through.
 //!
 //! [`crate::System`] resolves every race by *timing*: one deterministic
 //! interleaving per seed. Model checking needs the opposite — explicit
@@ -42,20 +42,18 @@
 //! MSHR — re-enables it. This keeps the search space free of silent
 //! self-loops without hiding any real interleaving.
 //!
-//! A search backtracks through a stack of checkpoints
-//! ([`ScheduledSystem::checkpoint`], [`ScheduledSystem::restore`]).
-//! Every transition touches exactly one controller, so the machine
-//! versions its controllers: a checkpoint saves a copy only of the
-//! controllers a transition touched since they were last saved or
-//! restored, and a restore copies back only the controllers whose
-//! version differs from the checkpoint's. Copies are made in place
-//! ([`CacheController::copy_from`]) into buffers the protocol factory
-//! built once and that the machine reuses; a checkpoint also holds the
-//! queued messages and the thread shims. The state [`ScheduledSystem::new`]
-//! builds is the root checkpoint, which [`ScheduledSystem::reset`]
-//! restores. [`ReplaySchedule`] drives a machine down a recorded choice
-//! sequence, which is how a violation the checker reports is
-//! reproduced.
+//! A search backtracks by undoing transitions ([`ScheduledSystem::undo`]).
+//! Every transition touches exactly one controller, so before applying
+//! one the machine saves a copy of that controller
+//! ([`CacheController::copy_from`], into a buffer from the controller's
+//! own pool, which the protocol factory builds once) and, for an L1, of
+//! its thread's shim, and it marks a journal of the channel pushes and
+//! pops. Undo swaps the saved copies back in, without copying, and rolls
+//! the channels back to the mark. The log of these records is the
+//! current path: [`ScheduledSystem::reset`] undoes all of it, and
+//! [`ScheduledSystem::transitions`] is its length. [`ReplaySchedule`]
+//! drives a machine down a recorded choice sequence, which is how a
+//! violation the checker reports is reproduced.
 
 use std::collections::VecDeque;
 
@@ -80,9 +78,11 @@ pub type Channel = (Agent, Agent, VNet);
 /// index is ascending [`Channel`] order: agents are numbered L1s, then
 /// L2 tiles, then memory controllers (the order of [`Agent`]'s derived
 /// `Ord`), and a channel's index is `(src * n_agents + dst) * 3 + vnet`.
-/// An occupancy bitset beside the table lets enumeration, saving and
-/// clearing visit only the non-empty queues. The machine numbers its
-/// controllers the same way.
+/// An occupancy bitset beside the table lets enumeration visit only the
+/// non-empty queues. The machine numbers its controllers the same way.
+///
+/// Every push and pop is journaled, so [`Self::roll_back`] can take the
+/// table back to any earlier [`Self::mark`].
 struct ChannelTable {
     n_cores: usize,
     n_tiles: usize,
@@ -91,6 +91,15 @@ struct ChannelTable {
     queues: Vec<VecDeque<Msg>>,
     /// Bit `i` is set while `queues[i]` is non-empty.
     occupied: Vec<u64>,
+    journal: Vec<Change>,
+}
+
+/// One journaled change to the channel table.
+enum Change {
+    /// A message was queued at the back of queue `i`.
+    Pushed(usize),
+    /// The head of queue `i` was taken: this message.
+    Popped(usize, Msg),
 }
 
 impl ChannelTable {
@@ -104,6 +113,7 @@ impl ChannelTable {
             n_agents,
             queues: (0..len).map(|_| VecDeque::new()).collect(),
             occupied: vec![0; len.div_ceil(64)],
+            journal: Vec::new(),
         }
     }
 
@@ -142,21 +152,20 @@ impl ChannelTable {
     }
 
     fn push(&mut self, channel: Channel, msg: Msg) {
-        self.push_at(self.index(channel), msg);
-    }
-
-    fn push_at(&mut self, i: usize, msg: Msg) {
+        let i = self.index(channel);
         self.queues[i].push_back(msg);
         self.occupied[i / 64] |= 1 << (i % 64);
+        self.journal.push(Change::Pushed(i));
     }
 
     fn pop(&mut self, channel: Channel) -> Option<Msg> {
         let i = self.index(channel);
-        let msg = self.queues[i].pop_front();
+        let msg = self.queues[i].pop_front()?;
         if self.queues[i].is_empty() {
             self.occupied[i / 64] &= !(1 << (i % 64));
         }
-        msg
+        self.journal.push(Change::Popped(i, msg.clone()));
+        Some(msg)
     }
 
     /// The indices of the non-empty queues, ascending.
@@ -164,25 +173,32 @@ impl ChannelTable {
         set_bits(&self.occupied)
     }
 
-    /// Writes every queued message into `out` (cleared first) as
-    /// `(queue index, message)` pairs: ascending index, and FIFO order
-    /// within a queue.
-    fn save_into(&self, out: &mut Vec<(usize, Msg)>) {
-        out.clear();
-        for i in self.occupied() {
-            out.extend(self.queues[i].iter().map(|msg| (i, msg.clone())));
-        }
+    /// The journal's length: the table's state now, for a later
+    /// [`Self::roll_back`].
+    fn mark(&self) -> usize {
+        self.journal.len()
     }
 
-    /// Empties every queue, keeping its capacity, then queues `saved`,
-    /// a list [`Self::save_into`] wrote.
-    fn restore(&mut self, saved: &[(usize, Msg)]) {
-        for i in set_bits(&self.occupied) {
-            self.queues[i].clear();
-        }
-        self.occupied.fill(0);
-        for (i, msg) in saved {
-            self.push_at(*i, msg.clone());
+    /// Takes back every push and pop made since `mark`, newest first: a
+    /// pushed message leaves the back of its queue, a popped one returns
+    /// to the front.
+    fn roll_back(&mut self, mark: usize) {
+        for change in self.journal.drain(mark..).rev() {
+            let i = match change {
+                Change::Pushed(i) => {
+                    self.queues[i].pop_back().expect("a journaled push");
+                    i
+                }
+                Change::Popped(i, msg) => {
+                    self.queues[i].push_front(msg);
+                    i
+                }
+            };
+            if self.queues[i].is_empty() {
+                self.occupied[i / 64] &= !(1 << (i % 64));
+            } else {
+                self.occupied[i / 64] |= 1 << (i % 64);
+            }
         }
     }
 
@@ -344,38 +360,24 @@ impl Scheduler for ReplaySchedule {
     }
 }
 
-/// A machine state saved by [`ScheduledSystem::checkpoint`], named by
-/// its place on the machine's checkpoint stack.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Checkpoint(usize);
-
-impl Checkpoint {
-    /// The state [`ScheduledSystem::new`] built: the bottom of the
-    /// stack, which no restore drops.
-    pub const ROOT: Checkpoint = Checkpoint(0);
+/// A controller saved before a transition touched it, of the live
+/// controller's own type so that an undo swaps it back instead of
+/// copying it. An L1 is saved with its thread's shim, the one other
+/// state its transitions change.
+enum Saved {
+    L1(Box<dyn L1Controller>, ThreadShim),
+    L2(Box<dyn L2Controller>),
+    Mem(MemCtrl),
 }
 
-/// The version of a controller a transition touched since it was last
-/// saved or restored: its state equals no saved copy.
-const UNSAVED: u64 = 0;
-
-/// One saved copy of a controller.
-struct SavedCopy {
-    /// The stack index of the checkpoint that saved it.
-    checkpoint: usize,
-    /// The version it saved.
-    version: u64,
-    ctrl: Box<dyn CacheController>,
-}
-
-/// A checkpoint's state besides the controller copies.
-struct Saved {
-    /// Every controller's version when the checkpoint was taken.
-    versions: Vec<u64>,
-    /// The queued messages, as [`ChannelTable::save_into`] lists them.
-    messages: Vec<(usize, Msg)>,
-    threads: Vec<ThreadShim>,
-    transitions: u64,
+/// One applied transition on the undo log.
+struct Record {
+    info: StepInfo,
+    /// The touched controller as it was before the transition.
+    saved: Saved,
+    /// The channel journal's [`ChannelTable::mark`] before the
+    /// transition.
+    mark: usize,
 }
 
 /// The machine rebuilt around explicit scheduling: the configured
@@ -384,17 +386,15 @@ struct Saved {
 /// FIFO channels in place of the mesh, and thread shims around the
 /// timed core's [`StoreBuffer`] in place of the core pipelines.
 ///
-/// One machine serves a whole search. It keeps a stack of checkpoints
-/// whose bottom is the state [`Self::new`] built; [`Self::restore`]
-/// returns the machine to any checkpoint on the stack, copying back
-/// only the controllers that changed since, and [`Self::reset`] to the
-/// root. Backtracking allocates no new machine, channel table or
-/// program copy, and once the stack has been as deep as it gets, no
-/// controller either.
+/// One machine serves a whole search. It logs every applied transition
+/// with what undoing it needs, so [`Self::undo`] takes back the last
+/// one and [`Self::reset`] all of them. Backtracking allocates no new
+/// machine, channel table or program copy, and once the path has been
+/// as deep as it gets, no controller either.
 pub struct ScheduledSystem {
     /// The factory and the zero-latency shape every controller is
-    /// built from, kept so checkpoints can build buffers to copy
-    /// controllers into.
+    /// built from, kept to build the buffers controllers are saved
+    /// into.
     protocol: ProtocolHandle,
     shape: MachineShape,
     l1s: Vec<Box<dyn L1Controller>>,
@@ -405,30 +405,20 @@ pub struct ScheduledSystem {
     programs: Vec<Vec<CoreOp>>,
     threads: Vec<ThreadShim>,
     discipline: CoherenceDiscipline,
-    transitions: u64,
-    /// Each live controller's version, indexed by agent number (the
-    /// channel table's numbering): the version of the saved copy its
-    /// state equals, or [`UNSAVED`].
-    versions: Vec<u64>,
-    /// The last version handed out.
-    last_version: u64,
-    /// Each controller's saved copies, oldest first.
-    copies: Vec<Vec<SavedCopy>>,
-    /// Each controller's buffers of dropped copies, reused by later
-    /// saves.
-    spare_copies: Vec<Vec<Box<dyn CacheController>>>,
-    /// The checkpoint stack, root first.
-    checkpoints: Vec<Saved>,
-    /// Dropped checkpoints, reused by later ones.
-    spare_checkpoints: Vec<Saved>,
+    /// The undo log: one record per applied transition, oldest first.
+    log: Vec<Record>,
+    /// Each controller's spare buffers to save it into, indexed by
+    /// agent number (the channel table's numbering).
+    pools: Vec<Vec<Saved>>,
+    /// The `emitted` lists of undone records, reused by later ones.
+    spare_emitted: Vec<Vec<Channel>>,
     scratch_msgs: Vec<NetMsg>,
     scratch_completions: Vec<Completion>,
     scratch_access: Vec<(LineAddr, LineAccess)>,
 }
 
 impl ScheduledSystem {
-    /// Builds the machine for `cfg` with one op list per core, and
-    /// saves its state as the root checkpoint.
+    /// Builds the machine for `cfg` with one op list per core.
     ///
     /// # Errors
     ///
@@ -451,7 +441,7 @@ impl ScheduledSystem {
         let protocol = cfg.protocol.clone();
         let channels = ChannelTable::new(&shape);
         let n_agents = channels.n_agents;
-        let mut sys = ScheduledSystem {
+        Ok(ScheduledSystem {
             l1s: (0..shape.n_cores).map(|i| protocol.l1(i, &shape)).collect(),
             l2s: (0..shape.n_tiles).map(|t| protocol.l2(t, &shape)).collect(),
             mems: (0..shape.n_mem).map(ScheduledSystem::mem_ctrl).collect(),
@@ -464,19 +454,13 @@ impl ScheduledSystem {
                 .collect(),
             programs,
             discipline: cfg.protocol.coherence_discipline(),
-            transitions: 0,
-            versions: vec![UNSAVED; n_agents],
-            last_version: UNSAVED,
-            copies: (0..n_agents).map(|_| Vec::new()).collect(),
-            spare_copies: (0..n_agents).map(|_| Vec::new()).collect(),
-            checkpoints: Vec::new(),
-            spare_checkpoints: Vec::new(),
+            log: Vec::new(),
+            pools: (0..n_agents).map(|_| Vec::new()).collect(),
+            spare_emitted: Vec::new(),
             scratch_msgs: Vec::new(),
             scratch_completions: Vec::new(),
             scratch_access: Vec::new(),
-        };
-        assert_eq!(sys.checkpoint(), Checkpoint::ROOT);
-        Ok(sys)
+        })
     }
 
     /// Memory controller `j` of the checked machine: empty memory, no
@@ -486,102 +470,62 @@ impl ScheduledSystem {
     }
 
     /// Returns the machine to its initial state, as [`Self::new`] left
-    /// it: restores [`Checkpoint::ROOT`], dropping every other
-    /// checkpoint. A fault plan's one-shot triggers are armed again.
+    /// it, by undoing every applied transition. A fault plan's one-shot
+    /// triggers are armed again.
     pub fn reset(&mut self) {
-        self.restore(Checkpoint::ROOT);
+        while self.undo() {}
     }
 
-    /// Saves the machine's state on top of the checkpoint stack.
-    /// Copies only the controllers that a transition touched since they
-    /// were last saved or restored; the others' latest copies already
-    /// hold their state.
-    pub fn checkpoint(&mut self) -> Checkpoint {
-        let index = self.checkpoints.len();
-        for i in 0..self.versions.len() {
-            if self.versions[i] != UNSAVED {
-                continue;
+    /// Takes back the last applied transition: swaps the saved copy of
+    /// the controller it touched (and, for an L1, of its thread's shim)
+    /// back in, and rolls the channels back to their state before it.
+    /// Returns `false`, changing nothing, when no transition is left.
+    pub fn undo(&mut self) -> bool {
+        let Some(Record {
+            info,
+            mut saved,
+            mark,
+        }) = self.log.pop()
+        else {
+            return false;
+        };
+        match (&mut saved, info.ctrl) {
+            (Saved::L1(ctrl, shim), Agent::L1(i)) => {
+                std::mem::swap(ctrl, &mut self.l1s[i]);
+                std::mem::swap(shim, &mut self.threads[i]);
             }
-            let agent = self.channels.agent_at(i);
-            let mut copy = match self.spare_copies[i].pop() {
-                Some(buffer) => buffer,
-                None => self.build(agent),
-            };
-            copy.copy_from(self.ctrl(agent));
-            self.last_version += 1;
-            self.versions[i] = self.last_version;
-            self.copies[i].push(SavedCopy {
-                checkpoint: index,
-                version: self.last_version,
-                ctrl: copy,
-            });
+            (Saved::L2(ctrl), Agent::L2(t)) => std::mem::swap(ctrl, &mut self.l2s[t]),
+            (Saved::Mem(ctrl), Agent::Mem(j)) => std::mem::swap(ctrl, &mut self.mems[j]),
+            _ => unreachable!("{:?} saved as another agent", info.ctrl),
         }
-        let mut saved = self.spare_checkpoints.pop().unwrap_or_else(|| Saved {
-            versions: Vec::new(),
-            messages: Vec::new(),
-            threads: self.threads.iter().map(|_| ThreadShim::new(0)).collect(),
-            transitions: 0,
-        });
-        saved.versions.clone_from(&self.versions);
-        self.channels.save_into(&mut saved.messages);
-        for (into, from) in saved.threads.iter_mut().zip(&self.threads) {
-            into.copy_from(from);
-        }
-        saved.transitions = self.transitions;
-        self.checkpoints.push(saved);
-        Checkpoint(index)
+        self.channels.roll_back(mark);
+        self.pools[self.channels.agent_index(info.ctrl)].push(saved);
+        self.spare_emitted.push(info.emitted);
+        true
     }
 
-    /// Returns the machine to `checkpoint`'s state and drops every
-    /// checkpoint taken after it (their handles are then invalid).
-    /// Copies back only the controllers whose version differs from the
-    /// checkpoint's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `checkpoint` was dropped.
-    pub fn restore(&mut self, checkpoint: Checkpoint) {
-        let Checkpoint(index) = checkpoint;
-        assert!(index < self.checkpoints.len(), "{checkpoint:?} was dropped");
-        self.spare_checkpoints
-            .extend(self.checkpoints.drain(index + 1..));
-        for (copies, spare) in self.copies.iter_mut().zip(&mut self.spare_copies) {
-            while let Some(copy) = copies.pop_if(|c| c.checkpoint > index) {
-                spare.push(copy.ctrl);
+    /// A copy of `agent` (with its thread's shim, for an L1) as it is
+    /// now, in a buffer from its pool or, when the pool is empty, in
+    /// one the factory builds.
+    fn save(&mut self, agent: Agent) -> Saved {
+        let mut saved = match self.pools[self.channels.agent_index(agent)].pop() {
+            Some(buffer) => buffer,
+            None => match agent {
+                Agent::L1(i) => Saved::L1(self.protocol.l1(i, &self.shape), ThreadShim::new(0)),
+                Agent::L2(t) => Saved::L2(self.protocol.l2(t, &self.shape)),
+                Agent::Mem(j) => Saved::Mem(ScheduledSystem::mem_ctrl(j)),
+            },
+        };
+        match (&mut saved, agent) {
+            (Saved::L1(ctrl, shim), Agent::L1(i)) => {
+                ctrl.copy_from(self.l1s[i].as_ref());
+                shim.copy_from(&self.threads[i]);
             }
+            (Saved::L2(ctrl), Agent::L2(t)) => ctrl.copy_from(self.l2s[t].as_ref()),
+            (Saved::Mem(ctrl), Agent::Mem(j)) => ctrl.copy_from(&self.mems[j]),
+            _ => unreachable!("{agent:?} pooled as another agent"),
         }
-        let saved = &self.checkpoints[index];
-        for (i, &version) in saved.versions.iter().enumerate() {
-            if self.versions[i] == version {
-                continue;
-            }
-            // The checkpoints above `index` are gone, so the latest
-            // copy is the one this checkpoint saved or kept.
-            let copy = self.copies[i].last().expect("a saved copy");
-            assert_eq!(copy.version, version, "the latest copy of agent {i}");
-            // Each arm borrows one controller list, not the machine as
-            // `ctrl_mut` would, while `copy` borrows the copies.
-            match self.channels.agent_at(i) {
-                Agent::L1(c) => self.l1s[c].copy_from(copy.ctrl.as_ref()),
-                Agent::L2(t) => self.l2s[t].copy_from(copy.ctrl.as_ref()),
-                Agent::Mem(j) => self.mems[j].copy_from(copy.ctrl.as_ref()),
-            }
-            self.versions[i] = version;
-        }
-        self.channels.restore(&saved.messages);
-        for (into, from) in self.threads.iter_mut().zip(&saved.threads) {
-            into.copy_from(from);
-        }
-        self.transitions = saved.transitions;
-    }
-
-    /// A new controller for `agent`, built as [`Self::new`] builds it.
-    fn build(&self, agent: Agent) -> Box<dyn CacheController> {
-        match agent {
-            Agent::L1(i) => self.protocol.l1(i, &self.shape),
-            Agent::L2(t) => self.protocol.l2(t, &self.shape),
-            Agent::Mem(j) => Box::new(ScheduledSystem::mem_ctrl(j)),
-        }
+        saved
     }
 
     /// The set of enabled choices, in a deterministic order (issues,
@@ -634,31 +578,40 @@ impl ScheduledSystem {
         }
     }
 
-    /// Applies one choice (which must currently be enabled) and settles
-    /// the touched controller.
-    pub fn apply(&mut self, choice: Choice) -> StepInfo {
-        self.apply_reusing(choice, Vec::new())
+    /// Applies one choice (which must currently be enabled), settles
+    /// the touched controller and logs the transition. Returns what it
+    /// touched, which stays on the log (see [`Self::path`]) until the
+    /// transition is undone.
+    pub fn apply(&mut self, choice: Choice) -> &StepInfo {
+        let ctrl = match choice {
+            Choice::Issue { thread } | Choice::Drain { thread } => Agent::L1(thread),
+            Choice::Deliver { channel } => channel.1,
+        };
+        let saved = self.save(ctrl);
+        let mark = self.channels.mark();
+        let mut emitted = self.spare_emitted.pop().unwrap_or_default();
+        emitted.clear();
+        let line = match choice {
+            Choice::Issue { thread } => self.apply_issue(thread, &mut emitted),
+            Choice::Drain { thread } => self.apply_drain(thread, &mut emitted),
+            Choice::Deliver { channel } => self.apply_deliver(channel, &mut emitted),
+        };
+        self.log.push(Record {
+            info: StepInfo {
+                ctrl,
+                line,
+                emitted,
+            },
+            saved,
+            mark,
+        });
+        &self.log.last().expect("the record just logged").info
     }
 
-    /// [`Self::apply`] that writes [`StepInfo::emitted`] into `emitted`
-    /// (cleared first), so a caller applying many choices can recycle
-    /// the list of a step it no longer needs.
-    pub fn apply_reusing(&mut self, choice: Choice, mut emitted: Vec<Channel>) -> StepInfo {
-        emitted.clear();
-        self.transitions += 1;
-        let (ctrl, line) = match choice {
-            Choice::Issue { thread } => (Agent::L1(thread), self.apply_issue(thread, &mut emitted)),
-            Choice::Drain { thread } => (Agent::L1(thread), self.apply_drain(thread, &mut emitted)),
-            Choice::Deliver { channel } => (channel.1, self.apply_deliver(channel, &mut emitted)),
-        };
-        // The one controller a transition touches no longer equals its
-        // saved copy.
-        self.versions[self.channels.agent_index(ctrl)] = UNSAVED;
-        StepInfo {
-            ctrl,
-            line,
-            emitted,
-        }
+    /// What each transition on the current path touched, oldest first:
+    /// the [`StepInfo`]s [`Self::apply`] returned, less those undone.
+    pub fn path(&self) -> impl DoubleEndedIterator<Item = &StepInfo> + ExactSizeIterator {
+        self.log.iter().map(|record| &record.info)
     }
 
     /// Issues thread `t`'s next op: a store enters the store buffer, a
@@ -695,6 +648,7 @@ impl ScheduledSystem {
         self.settle(Agent::L1(t), emitted);
         line
     }
+
     /// Offers thread `t`'s store-buffer head to its L1. Returns the
     /// store's line.
     fn apply_drain(&mut self, t: usize, emitted: &mut Vec<Channel>) -> Option<LineAddr> {
@@ -788,23 +742,15 @@ impl ScheduledSystem {
         self.discipline
     }
 
-    /// Transitions applied since [`Self::new`], less those a restore
-    /// took back: the depth of the current state.
+    /// Transitions applied since [`Self::new`], less those undone: the
+    /// depth of the current state, and the length of the undo log.
     pub fn transitions(&self) -> u64 {
-        self.transitions
+        self.log.len() as u64
     }
 
     /// Number of threads (= cores).
     pub fn n_threads(&self) -> usize {
         self.threads.len()
-    }
-
-    fn ctrl(&self, agent: Agent) -> &dyn CacheController {
-        match agent {
-            Agent::L1(i) => self.l1s[i].as_ref(),
-            Agent::L2(t) => self.l2s[t].as_ref(),
-            Agent::Mem(j) => &self.mems[j],
-        }
     }
 
     fn ctrl_mut(&mut self, agent: Agent) -> &mut dyn CacheController {
@@ -874,9 +820,8 @@ impl std::fmt::Debug for ScheduledSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScheduledSystem")
             .field("threads", &self.threads.len())
-            .field("transitions", &self.transitions)
+            .field("transitions", &self.log.len())
             .field("queued", &self.channels.queued())
-            .field("checkpoints", &self.checkpoints.len())
             .finish()
     }
 }
@@ -894,6 +839,7 @@ mod tests {
     const X: u64 = 0x2000;
     const Y: u64 = 0x2008; // same line as X: the 1-line configuration
     const Z: u64 = 0x2040; // the next line, in the next cache set
+    const W: u64 = 0x2080; // homed on X's tile
 
     fn sys(protocol: Protocol, programs: Vec<Vec<CoreOp>>) -> ScheduledSystem {
         let cfg = SystemConfig::builder()
@@ -1053,28 +999,80 @@ mod tests {
         }
     }
 
-    /// Steps `reset` and `fresh` through one random schedule in
-    /// lockstep, requiring every observable to agree at every step.
-    /// `reset` records each step into the previous step's recycled
-    /// `emitted` list, which must come back as a new one would, with no
-    /// channel listed twice.
-    fn lockstep(reset: &mut ScheduledSystem, fresh: &mut ScheduledSystem, seed: u64, what: &str) {
-        let mut pick = RandomChoice(SplitMix64::new(seed));
-        let mut recycled = Vec::new();
+    /// Whether applying `c` delivers an invalidation to core 0's L1,
+    /// where `DropInvAck { core: 0 }` strikes.
+    fn invalidates_core_0(s: &ScheduledSystem, c: Choice) -> bool {
+        let Choice::Deliver { channel } = c else {
+            return false;
+        };
+        let head = s.channels.queues[s.channels.index(channel)].front();
+        channel.1 == Agent::L1(0) && matches!(head, Some(Msg::Inv { .. }))
+    }
+
+    /// Requires `a` and `b` to hold the same state: the same queued
+    /// messages, thread shims and applied-transition count, and
+    /// controllers that agree on every probe.
+    fn same_state(a: &ScheduledSystem, b: &ScheduledSystem, what: &str) {
+        assert_eq!(a.channels.queues, b.channels.queues, "{what}: channels");
+        assert_eq!(a.channels.occupied, b.channels.occupied, "{what}");
+        assert_eq!(
+            format!("{:?}", a.threads),
+            format!("{:?}", b.threads),
+            "{what}: thread shims"
+        );
+        assert_eq!(a.transitions(), b.transitions(), "{what}: transitions()");
+        let ctrls = |s: &ScheduledSystem| {
+            let l1s = s
+                .l1s
+                .iter()
+                .map(|c| (c.probe(), c.next_event(), c.stats().clone()));
+            let l2s = s
+                .l2s
+                .iter()
+                .map(|c| (c.probe(), c.next_event(), c.stats().clone()));
+            let mems = s
+                .mems
+                .iter()
+                .map(|c| (c.probe(), c.next_event(), c.reads, c.writes));
+            format!(
+                "{:?} {:?} {:?} {:?}",
+                l1s.collect::<Vec<_>>(),
+                l2s.collect::<Vec<_>>(),
+                mems.collect::<Vec<_>>(),
+                s.l1_access()
+            )
+        };
+        assert_eq!(ctrls(a), ctrls(b), "{what}: controllers");
+    }
+
+    /// Steps `machine` and `fresh` through the schedule `pick` draws, in
+    /// lockstep, until no choice is enabled, requiring every observable
+    /// to agree at every step and no step to list a channel twice.
+    /// Returns how often an invalidation to core 0 sent no ack.
+    fn lockstep(
+        machine: &mut ScheduledSystem,
+        fresh: &mut ScheduledSystem,
+        pick: &mut impl Scheduler,
+        what: &str,
+    ) -> usize {
+        let mut dropped = 0;
         loop {
             let enabled = fresh.enabled();
             let step = fresh.transitions();
-            assert_eq!(reset.enabled(), enabled, "{what}: enabled() at step {step}");
+            assert_eq!(
+                machine.enabled(),
+                enabled,
+                "{what}: enabled() at step {step}"
+            );
+            same_state(machine, fresh, &format!("{what}, step {step}"));
             if enabled.is_empty() {
                 break;
             }
-            let c = enabled[pick.pick(&enabled).unwrap()];
-            let info = fresh.apply(c);
-            assert_eq!(
-                reset.apply_reusing(c, recycled),
-                info,
-                "{what}: {c:?} at step {step}"
-            );
+            let c = enabled[pick.pick(&enabled).expect("a choice")];
+            let inv = invalidates_core_0(fresh, c);
+            let info = fresh.apply(c).clone();
+            assert_eq!(machine.apply(c), &info, "{what}: {c:?} at step {step}");
+            assert_eq!(machine.path().last(), Some(&info), "{what}: path()");
             let mut channels = info.emitted.clone();
             channels.sort_unstable();
             channels.dedup();
@@ -1083,16 +1081,11 @@ mod tests {
                 info.emitted.len(),
                 "{what}: {c:?} at step {step} lists a channel twice: {info:?}"
             );
-            recycled = info.emitted;
+            dropped += usize::from(inv && info.emitted.is_empty());
         }
-        assert_eq!(reset.outcome(), fresh.outcome(), "{what}: outcome()");
-        assert_eq!(reset.stuck(), fresh.stuck(), "{what}: stuck()");
-        assert_eq!(reset.l1_access(), fresh.l1_access(), "{what}: l1_access()");
-        assert_eq!(
-            reset.transitions(),
-            fresh.transitions(),
-            "{what}: transitions()"
-        );
+        assert_eq!(machine.outcome(), fresh.outcome(), "{what}: outcome()");
+        assert_eq!(machine.stuck(), fresh.stuck(), "{what}: stuck()");
+        dropped
     }
 
     #[test]
@@ -1154,7 +1147,8 @@ mod tests {
                     }
                 }
                 machine.reset();
-                lockstep(&mut machine, &mut build(), seed + 100, &what);
+                let mut pick = RandomChoice(SplitMix64::new(seed + 100));
+                lockstep(&mut machine, &mut build(), &mut pick, &what);
             }
             if faults.protocol.is_some() {
                 assert!(deadlocks > 0, "{name}: no first run deadlocked");
@@ -1272,15 +1266,24 @@ mod tests {
         }
     }
 
-    /// Whether some thread's store-buffer head is in flight at its L1.
-    fn store_in_flight(s: &ScheduledSystem) -> bool {
-        s.threads
+    /// Whether `s` has messages queued on two or more channels, two or
+    /// more of them on one, and some thread's store-buffer head in
+    /// flight at its L1.
+    fn busy(s: &ScheduledSystem) -> bool {
+        let queued: Vec<usize> = s
+            .channels
+            .occupied()
+            .map(|i| s.channels.queues[i].len())
+            .collect();
+        let in_flight = s
+            .threads
             .iter()
-            .any(|th| !th.buffer.is_empty() && !th.buffer.can_offer())
+            .any(|th| !th.buffer.is_empty() && !th.buffer.can_offer());
+        queued.len() >= 2 && queued.iter().any(|&n| n >= 2) && in_flight
     }
 
     #[test]
-    fn a_restored_machine_behaves_like_one_that_replayed_its_prefix() {
+    fn an_undone_machine_behaves_like_one_that_replayed_its_prefix() {
         let drop_inv_ack = FaultPlan {
             protocol: Some(ProtocolFault::DropInvAck { core: 0 }),
             ..FaultPlan::none()
@@ -1299,10 +1302,11 @@ mod tests {
             ),
             ("MESI with DropInvAck", Protocol::Mesi, drop_inv_ack),
         ];
-        // The programs of `a_reset_machine_behaves_like_a_new_one`: an
-        // invalidation of core 0's copy of X (where DropInvAck strikes)
-        // races a store and loads on a second line.
-        let programs = || vec![vec![ld(X), st(Z, 1), ld(Z)], vec![ld(X), st(X, 1), ld(Z)]];
+        // Core 1 reads X after or before core 0 does, then writes it: an
+        // invalidation of core 0's copy (where DropInvAck strikes) or a
+        // forward. Core 0 can have its store to W in flight while its
+        // load of X misses, both requests queued to their one home tile.
+        let programs = || vec![vec![st(W, 1), ld(X), ld(Z)], vec![ld(X), st(X, 1), ld(Z)]];
         for (name, protocol, faults) in machines {
             let cfg = SystemConfig::builder()
                 .small()
@@ -1312,71 +1316,81 @@ mod tests {
                 .build()
                 .unwrap();
             let build = || ScheduledSystem::new(&cfg, programs()).unwrap();
-            let (mut checked, mut deadlocks, mut replayed_deadlocks) = (0, 0, 0);
-            for seed in 0..16 {
+            let (mut checked, mut fired, mut refired) = (0, 0, 0);
+            for seed in 0..32 {
                 let what = format!("{name}, seed {seed}");
                 let mut machine = build();
                 let mut pick = RandomChoice(SplitMix64::new(seed));
-                // Run to a state with messages queued on several
-                // channels and a store in flight.
+                // A random prefix to a busy state.
                 let mut prefix = Vec::new();
-                let reached = loop {
-                    let enabled = machine.enabled();
-                    let queued = enabled
-                        .iter()
-                        .filter(|c| matches!(c, Choice::Deliver { .. }))
-                        .count();
-                    if queued >= 2 && store_in_flight(&machine) {
-                        break true;
-                    }
-                    if enabled.is_empty() {
-                        break false;
-                    }
-                    let c = enabled[pick.pick(&enabled).unwrap()];
-                    prefix.push(c);
-                    machine.apply(c);
-                };
-                if !reached {
-                    continue;
-                }
-                checked += 1;
-                let checkpoint = machine.checkpoint();
-                // Run on to a terminal state, checkpointing once more on
-                // the way; restoring the first drops the second.
-                for step in 0.. {
+                while !busy(&machine) {
                     let enabled = machine.enabled();
                     if enabled.is_empty() {
                         break;
                     }
-                    if step == 3 {
-                        machine.checkpoint();
-                    }
-                    machine.apply(enabled[pick.pick(&enabled).unwrap()]);
+                    let c = enabled[pick.pick(&enabled).unwrap()];
+                    prefix.push(c);
+                    machine.apply(c);
                 }
-                deadlocks += usize::from(machine.stuck() == Terminal::Deadlock);
-                // Restore twice: each time the machine must step like
-                // one that replayed the prefix from scratch.
+                if !busy(&machine) {
+                    continue;
+                }
+                checked += 1;
+                // Run on k steps to a terminal state.
+                let mut suffix = Vec::new();
+                let mut dropped = 0;
+                loop {
+                    let enabled = machine.enabled();
+                    if enabled.is_empty() {
+                        break;
+                    }
+                    let c = enabled[pick.pick(&enabled).unwrap()];
+                    suffix.push(c);
+                    let inv = invalidates_core_0(&machine, c);
+                    let sent = machine.apply(c).emitted.len();
+                    dropped += usize::from(inv && sent == 0);
+                }
+                fired += usize::from(dropped > 0);
+                // Undo the k steps, then step in lockstep with a machine
+                // that replayed the prefix: first down the same suffix,
+                // where the one-shot fault must fire again, then down a
+                // new one.
                 for round in 0..2 {
-                    let what = format!("{what}, restore {round}");
-                    machine.restore(checkpoint);
-                    assert_eq!(machine.checkpoints.len(), 2, "{what}: checkpoints left");
+                    let what = format!("{what}, undo {round}");
+                    for _ in prefix.len() as u64..machine.transitions() {
+                        assert!(machine.undo(), "{what}: the log ran out");
+                    }
                     let mut replayed = build();
                     let end = replayed.run(&mut ReplaySchedule::new(prefix.clone()), u64::MAX);
                     assert_eq!(end, None, "{what}: the prefix ended the run");
                     assert_eq!(replayed.transitions(), prefix.len() as u64, "{what}");
-                    lockstep(&mut machine, &mut replayed, seed * 2 + round + 100, &what);
-                    replayed_deadlocks += usize::from(replayed.stuck() == Terminal::Deadlock);
+                    same_state(&machine, &replayed, &what);
+                    if round == 0 {
+                        let mut same = ReplaySchedule::new(suffix.clone());
+                        let again = lockstep(&mut machine, &mut replayed, &mut same, &what);
+                        assert_eq!(again, dropped, "{what}: acks dropped");
+                        refired += usize::from(again > 0);
+                    } else {
+                        let mut new = RandomChoice(SplitMix64::new(seed + 100));
+                        lockstep(&mut machine, &mut replayed, &mut new, &what);
+                    }
                 }
+                // Undoing past the prefix reaches the initial state.
+                machine.reset();
+                assert!(!machine.undo(), "{what}: undo past the initial state");
+                same_state(&machine, &build(), &format!("{what}, reset"));
             }
             assert!(
                 checked >= 8,
-                "{name}: only {checked} runs reached the state"
+                "{name}: only {checked} runs reached a busy state"
             );
             if faults.protocol.is_some() {
-                // The one-shot fault fired after the checkpoint, and
-                // fired again after the restores.
-                assert!(deadlocks > 0, "{name}: no run deadlocked");
-                assert!(replayed_deadlocks > 0, "{name}: no restored run deadlocked");
+                // The one-shot fault fired after the busy state, and
+                // fired again after the undo.
+                assert!(fired > 0, "{name}: the fault never fired");
+                assert_eq!(refired, fired, "{name}: the fault fired once only");
+            } else {
+                assert_eq!(fired, 0, "{name}: an invalidation went unacknowledged");
             }
         }
     }

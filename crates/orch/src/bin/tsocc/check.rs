@@ -29,8 +29,9 @@
 //!   must be caught and shrink to a re-verified minimal reproducer.
 //!
 //! Each protocol's report carries its explored tree's totals
-//! (`schedules`, `transitions`, `sleep_blocked`) and `replayed`, the
-//! transitions the search re-applied while backtracking.
+//! (`schedules`, `transitions`, `sleep_blocked`). The search backtracks
+//! by undoing transitions, so it applies each transition it counts
+//! once.
 //!
 //! Exit status: 1 if a clean-mode violation was found, a protocol's
 //! search hit its schedule cap (`"complete": false`), a mutation
@@ -158,7 +159,6 @@ pub fn main(args: Vec<String>) {
             checked += 1;
             totals.schedules += report.schedules;
             totals.transitions += report.transitions;
-            totals.replayed += report.replayed;
             totals.sleep_blocked += report.sleep_blocked;
             totals.complete &= report.complete;
             for v in &report.violations {
@@ -213,7 +213,6 @@ pub fn main(args: Vec<String>) {
             .u64("schedules", r.report.schedules)
             .u64("transitions", r.report.transitions)
             .u64("sleep_blocked", r.report.sleep_blocked)
-            .u64("replayed", r.report.replayed)
             .u64("violations_total", r.report.violations.len() as u64)
             .raw("violations", json::array(violations))
             .raw("complete", bool_json(r.report.complete))

@@ -33,3 +33,40 @@ pub use tsocc_proto;
 pub use tsocc_protocols;
 pub use tsocc_sim;
 pub use tsocc_workloads;
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, UnwindSafe};
+
+    use tsocc_sim::Cycle;
+
+    /// The message `f` panicked with, or `None` if it returned.
+    fn panic_message<T>(f: impl FnOnce() -> T + UnwindSafe) -> Option<String> {
+        let payload = catch_unwind(f).err()?;
+        let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+        text.or_else(|| payload.downcast_ref::<String>().cloned())
+    }
+
+    /// The dev profile, which `cargo test` builds, runs the simulator
+    /// crates at `opt-level = 1` (Cargo.toml) for speed. It must keep
+    /// the checks of a debug build, in the tests and in those crates.
+    #[test]
+    fn the_test_build_keeps_debug_assertions_and_overflow_checks() {
+        let here = panic_message(|| debug_assert!(false, "debug assertions are on"));
+        assert_eq!(
+            here.as_deref(),
+            Some("debug assertions are on"),
+            "a test build without debug assertions: run the tests in the dev profile"
+        );
+        let max = std::hint::black_box(u64::MAX);
+        let overflow = panic_message(|| max + 1);
+        assert_eq!(overflow.as_deref(), Some("attempt to add with overflow"));
+        let backwards = panic_message(|| Cycle::new(1).since(Cycle::new(2)));
+        assert_eq!(backwards.as_deref(), Some("negative cycle delta"));
+        let past_the_end = panic_message(|| Cycle::MAX + 1);
+        assert_eq!(
+            past_the_end.as_deref(),
+            Some("attempt to add with overflow")
+        );
+    }
+}
