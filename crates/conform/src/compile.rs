@@ -1,9 +1,8 @@
 //! Compiling model programs to TVM and reading outcomes back.
 //!
-//! Hoisted from `tests/systematic_litmus.rs` and generalized: any
-//! number of threads, any address pool (model location index `i` maps
-//! to `pool[i]`), and RMW ops. The conventions are load-bearing for the
-//! whole campaign:
+//! Any number of threads, any address pool (model location index `i`
+//! maps to `pool[i]`), and RMW ops. The conventions are load-bearing
+//! for the whole campaign and the litmus suite:
 //!
 //! - observation slots: every load *and every RMW* records the value it
 //!   read into `R1, R2, ...` in program order — [`observed_outcome`]
@@ -133,11 +132,13 @@ pub fn compile_program(program: &ModelProgram, pool: &[u64], jitter: u32) -> Vec
 }
 
 /// Reads the outcome a finished system observed, in the model's layout:
-/// every thread's observation registers in program order, thread-major.
-pub fn observed_outcome(sys: &System, program: &ModelProgram) -> Vec<u64> {
+/// the first `observed[t]` observation registers `R1, R2, ...` of each
+/// thread `t`, thread-major. For a compiled model program, `observed[t]`
+/// is thread `t`'s [`observation_count`].
+pub fn observed_outcome(sys: &System, observed: &[usize]) -> Vec<u64> {
     let mut outcome = Vec::new();
-    for (t, ops) in program.iter().enumerate() {
-        for i in 0..observation_count(ops) {
+    for (t, &count) in observed.iter().enumerate() {
+        for i in 0..count {
             outcome.push(sys.core(t).thread().reg(Reg::from_index(1 + i)));
         }
     }
@@ -147,7 +148,8 @@ pub fn observed_outcome(sys: &System, program: &ModelProgram) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsocc::SystemConfig;
+    use crate::engine::run_machine;
+    use tsocc::FaultPlan;
     use tsocc_protocols::Protocol;
     use tsocc_workloads::tso_model::allowed_outcomes;
 
@@ -177,16 +179,8 @@ mod tests {
         let allowed = allowed_outcomes(&program);
         for seed in 0..10u64 {
             let compiled = compile_program(&program, &DEFAULT_POOL, 30);
-            let mut cfg = SystemConfig::builder()
-                .small()
-                .cores(2)
-                .protocol(Protocol::Mesi)
-                .build()
-                .expect("valid config");
-            cfg.seed = seed;
-            let mut sys = System::new(cfg, compiled);
-            sys.run(5_000_000).unwrap();
-            let outcome = observed_outcome(&sys, &program);
+            let outcome = run_machine(compiled, &[1, 1], Protocol::Mesi, seed, FaultPlan::none())
+                .unwrap_or_else(|(e, _)| panic!("{e}"));
             assert!(allowed.contains(&outcome), "{outcome:?} not in {allowed:?}");
         }
     }

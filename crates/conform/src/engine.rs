@@ -13,13 +13,14 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use tsocc::{ConfigError, FaultPlan, System, SystemConfig};
-use tsocc_isa::RmwOp;
+use tsocc::{ConfigError, FaultPlan, RunError, System, SystemConfig};
+use tsocc_coherence::ProtocolHandle;
+use tsocc_isa::{Program, RmwOp};
 use tsocc_protocols::Protocol;
 use tsocc_sim::rng::SplitMix64;
 use tsocc_workloads::tso_model::{enumerate, ModelMode, ModelOp, ModelProgram};
 
-use crate::compile::{compile_program, observed_outcome, DEFAULT_POOL};
+use crate::compile::{compile_program, observation_count, observed_outcome, DEFAULT_POOL};
 use crate::gen::{generate_program, GenConfig};
 use crate::shrink::{op_count, shrink};
 
@@ -105,12 +106,45 @@ impl CampaignOpts {
 }
 
 /// The small test machine a program runs on: one core per thread.
-fn machine(threads: usize, protocol: Protocol) -> Result<SystemConfig, ConfigError> {
+fn machine(
+    threads: usize,
+    protocol: impl Into<ProtocolHandle>,
+) -> Result<SystemConfig, ConfigError> {
     SystemConfig::builder()
         .small()
         .cores(threads)
         .protocol(protocol)
         .build()
+}
+
+/// Runs `programs` on the small machine, one core per program, under
+/// `seed` and `faults`, for at most 5,000,000 cycles, and reads back
+/// the outcome: `observed[t]` observation registers of each thread `t`.
+/// The campaign and the litmus suite run every execution through here.
+///
+/// # Errors
+///
+/// A run that does not finish: its error and the stopped machine, for
+/// a caller that wants its [`System::hang_report`].
+///
+/// # Panics
+///
+/// Panics if `protocol` cannot build a machine with that many cores.
+pub(crate) fn run_machine(
+    programs: Vec<Program>,
+    observed: &[usize],
+    protocol: impl Into<ProtocolHandle>,
+    seed: u64,
+    faults: FaultPlan,
+) -> Result<Vec<u64>, (RunError, Box<System>)> {
+    let mut cfg = machine(programs.len().max(1), protocol).expect("valid config");
+    cfg.seed = seed;
+    cfg.faults = faults;
+    let mut sys = System::new(cfg, programs);
+    match sys.run(5_000_000) {
+        Ok(_) => Ok(observed_outcome(&sys, observed)),
+        Err(e) => Err((e, Box::new(sys))),
+    }
 }
 
 /// One confirmed conformance violation, with its shrunk reproducer.
@@ -317,13 +351,9 @@ fn run_once(
     seed: u64,
     faults: FaultPlan,
 ) -> Result<Vec<u64>, String> {
+    let observed: Vec<usize> = program.iter().map(|ops| observation_count(ops)).collect();
     let compiled = compile_program(program, pool, jitter);
-    let mut cfg = machine(program.len().max(1), protocol).expect("valid config");
-    cfg.seed = seed;
-    cfg.faults = faults;
-    let mut sys = System::new(cfg, compiled);
-    sys.run(5_000_000).map_err(|e| e.to_string())?;
-    Ok(observed_outcome(&sys, program))
+    run_machine(compiled, &observed, protocol, seed, faults).map_err(|(e, _)| e.to_string())
 }
 
 /// Runs a full campaign. See [`CampaignOpts`] for the knobs.

@@ -18,7 +18,12 @@
 //! Modules:
 //!
 //! - [`compile`] — model-program → TVM compilation and outcome
-//!   extraction (shared with `tests/systematic_litmus.rs`);
+//!   extraction;
+//! - [`litmus`] — the named litmus suite of the paper's §4.3, its
+//!   loop-free shapes written as model programs and judged by the same
+//!   model, and [`run_litmus`], which runs a test many times (the
+//!   systematic sweep in `tests/systematic_litmus.rs` runs through it
+//!   too);
 //! - [`version`] — the writer/sequence value encoding shared with
 //!   `tests/protocol_fuzz.rs`;
 //! - [`gen`] — the seeded program generator;
@@ -32,6 +37,7 @@
 pub mod compile;
 pub mod engine;
 pub mod gen;
+pub mod litmus;
 pub mod shrink;
 pub mod version;
 
@@ -41,4 +47,5 @@ pub use compile::{
 };
 pub use engine::{litmus_text, run_campaign, CampaignOpts, CampaignReport, Violation};
 pub use gen::{generate_program, GenConfig};
+pub use litmus::{litmus_suite, run_litmus, LitmusReport, LitmusTest};
 pub use shrink::{op_count, shrink};

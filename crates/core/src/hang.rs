@@ -10,7 +10,7 @@
 //! edge.
 //!
 //! The report is plain data (no I/O here). The litmus runner
-//! (`tsocc_workloads::run_litmus`) returns it with a hung iteration's
+//! (`tsocc_conform::run_litmus`) returns it with a hung iteration's
 //! run error, and [`HangReport::summary`] renders it as one line.
 
 use tsocc_coherence::CtrlProbe;

@@ -18,12 +18,7 @@
 //!   systematic `{St x, St y, Ld x, Ld y, Fence}` family at two ops per
 //!   thread (280 programs) is enumerated to exhaustion per protocol;
 //!   any coherence-axiom violation, non-TSO outcome, deadlock, or
-//!   livelock fails the run. A reduction probe re-checks the
-//!   store-buffering program without DPOR (capped at 200,000
-//!   schedules) and reports `check_reduction` — the schedule-count
-//!   ratio naive/DPOR, a lower bound when the naive leg hits its cap.
-//!   A run whose budget expired skips the probe and reports
-//!   `"reduction_probe": null`.
+//!   livelock fails the run.
 //! - **`--mutations`**: the four-fault mutation leg
 //!   ([`tsocc_check::mutation_cases`] placed by `--seed`); every fault
 //!   must be caught and shrink to a re-verified minimal reproducer.
@@ -51,21 +46,12 @@ use tsocc_conform::{litmus_text, op_count};
 use tsocc_mesi_coarse::MesiCoarseConfig;
 use tsocc_proto::TsoCcConfig;
 use tsocc_protocols::Protocol;
-use tsocc_workloads::tso_model::{generate_two_thread_programs, ModelOp, ModelProgram};
+use tsocc_workloads::tso_model::{generate_two_thread_programs, ModelProgram};
 
 pub const ABOUT: &str = "exhaustive stateless DPOR model checking of the coherence protocols";
 
 /// Ops per thread in the systematic family: 280 two-thread programs.
 const OPS_PER_THREAD: usize = 2;
-
-/// Schedule cap of the reduction probe's no-DPOR leg.
-const NAIVE_CAP: u64 = 200_000;
-
-fn sb() -> ModelProgram {
-    let st = |addr, value| ModelOp::Store { addr, value };
-    let ld = |addr| ModelOp::Load { addr };
-    vec![vec![st(0, 1), ld(1)], vec![st(1, 1), ld(0)]]
-}
 
 /// Pads a two-thread program with empty threads up to `cores` so wider
 /// configurations exercise their extra (idle) tiles.
@@ -189,16 +175,6 @@ pub fn main(args: Vec<String>) {
         });
     }
 
-    // The reduction probe: same program, DPOR on vs off. Run on the
-    // first protocol only — the ratio is a property of the explorer,
-    // not of the policy under test. A run whose budget expired has
-    // already failed, so it spends no more time on the probe.
-    let probe = if results.iter().any(|r| r.budget_exhausted) {
-        eprintln!("budget expired: the reduction probe was skipped");
-        "null".to_string()
-    } else {
-        reduction_probe(&protocols[0], cores, &pool, &opts)
-    };
     let protocol_docs = results.iter().map(|r| {
         let violations = r.violation_programs.iter().map(|(program, kind)| {
             json::Object::new()
@@ -229,7 +205,6 @@ pub fn main(args: Vec<String>) {
         .u64("ops_per_thread", OPS_PER_THREAD as u64)
         .raw("pool", json::array(pool.iter().map(u64::to_string)))
         .raw("protocols", json::array(protocol_docs))
-        .raw("reduction_probe", probe)
         .raw("all_clean", bool_json(all_clean))
         .f64("elapsed_seconds", start.elapsed().as_secs_f64())
         .build();
@@ -245,42 +220,6 @@ pub fn main(args: Vec<String>) {
 /// schedule cap), and the budget did not expire.
 fn clean(report: &CheckReport, budget_exhausted: bool) -> bool {
     report.violations.is_empty() && report.complete && !budget_exhausted
-}
-
-/// Checks the store-buffering program on `protocol` with and without
-/// DPOR (the naive leg capped at [`NAIVE_CAP`] schedules), reports the
-/// schedule counts on stderr and returns the report's
-/// `reduction_probe` object.
-fn reduction_probe(protocol: &Protocol, cores: usize, pool: &[u64], opts: &CheckOpts) -> String {
-    let probe_program = pad(sb(), cores);
-    let dpor = check_model(protocol, FaultPlan::none(), &probe_program, pool, opts)
-        .unwrap_or_else(|e| rejected(protocol, e));
-    let naive = check_model(
-        protocol,
-        FaultPlan::none(),
-        &probe_program,
-        pool,
-        &CheckOpts {
-            naive: true,
-            max_schedules: NAIVE_CAP,
-            ..CheckOpts::default()
-        },
-    )
-    .unwrap_or_else(|e| rejected(protocol, e));
-    let check_reduction = dpor.reduction(&naive);
-    eprintln!(
-        "reduction probe: DPOR {} vs naive {}{} schedules — {check_reduction:.1}x",
-        dpor.schedules,
-        naive.schedules,
-        if naive.complete { "" } else { " (capped)" },
-    );
-    json::Object::new()
-        .str("program", "SB")
-        .u64("dpor_schedules", dpor.schedules)
-        .u64("naive_schedules", naive.schedules)
-        .raw("naive_complete", bool_json(naive.complete))
-        .f64("check_reduction", check_reduction)
-        .build()
 }
 
 fn run_mutation_mode(
@@ -369,6 +308,7 @@ fn bool_json(b: bool) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsocc_workloads::tso_model::ModelOp;
 
     #[test]
     fn a_search_cut_off_at_its_schedule_cap_fails_the_run() {
@@ -380,10 +320,20 @@ mod tests {
         assert!(!clean(&finished, true), "an expired budget fails");
         // The program's tree was cut off at the cap: no violation, but
         // not a proof either.
+        let sb = vec![
+            vec![
+                ModelOp::Store { addr: 0, value: 1 },
+                ModelOp::Load { addr: 1 },
+            ],
+            vec![
+                ModelOp::Store { addr: 1, value: 1 },
+                ModelOp::Load { addr: 0 },
+            ],
+        ];
         let capped = check_model(
             &Protocol::Mesi,
             FaultPlan::none(),
-            &sb(),
+            &sb,
             &pool_for_lines(1),
             &CheckOpts {
                 max_schedules: 10,

@@ -10,8 +10,8 @@
 
 use tsocc_bench::cli::Cli;
 use tsocc_coherence::FaultPlan;
+use tsocc_conform::{litmus_suite, run_litmus};
 use tsocc_protocols::Protocol;
-use tsocc_workloads::{litmus_suite, run_litmus};
 
 pub const ABOUT: &str = "run the TSO litmus suite on every paper configuration";
 

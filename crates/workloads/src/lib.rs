@@ -1,7 +1,10 @@
 //! Workloads for the TSO-CC evaluation: the paper's Table 3 benchmark
 //! suite (reproduced as synthetic kernels), a synchronization library, a
-//! NOrec-style software transactional memory, and the diy-style litmus
-//! suite used for §4.3's verification.
+//! NOrec-style software transactional memory, and the operational
+//! x86-TSO reference model ([`tso_model`]) that judges §4.3's
+//! verification. The litmus suite, the conformance campaign and the
+//! model checker (`tsocc-conform`, `tsocc-check`) take their verdicts
+//! from it.
 //!
 //! Every workload is expressed in TVM IR and executes *functionally*
 //! through the simulated memory hierarchy: spin loops really spin on
@@ -35,12 +38,10 @@
 
 pub mod kernels;
 pub mod layout;
-pub mod litmus;
 pub mod runner;
 pub mod stm;
 pub mod sync;
 pub mod tso_model;
 
 pub use kernels::{Benchmark, Scale, Workload};
-pub use litmus::{litmus_suite, run_litmus, LitmusReport, LitmusTest};
 pub use runner::run_workload;

@@ -11,9 +11,9 @@
 //! `cargo run --release -p tsocc-orch --bin tsocc -- litmus`.)
 
 use tsocc::FaultPlan;
+use tsocc_conform::{litmus_suite, run_litmus};
 use tsocc_proto::TsoCcConfig;
 use tsocc_protocols::Protocol;
-use tsocc_workloads::{litmus_suite, run_litmus};
 
 fn main() {
     let protocols = [

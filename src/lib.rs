@@ -10,14 +10,15 @@
 //!
 //! Start with [`tsocc`] (system assembly and configuration),
 //! [`tsocc_protocols`] (the protocol registry handed to
-//! [`tsocc::SystemConfig`]) and [`tsocc_workloads`] (benchmarks and
-//! litmus tests). The evaluation harness, including the parallel sweep
-//! engine, lives in [`tsocc_bench`]; the conformance campaign engine
-//! (N-thread litmus generation, model-oracle checking, counterexample
-//! shrinking) lives in [`tsocc_conform`]. The `tsocc-orch` package
-//! builds `tsocc`, the one command-line entry point
-//! (`cargo run --release -p tsocc-orch --bin tsocc -- --help`); it is
-//! a binary only, so nothing here re-exports it.
+//! [`tsocc::SystemConfig`]) and [`tsocc_workloads`] (benchmarks and the
+//! x86-TSO reference model). The evaluation harness, including the
+//! parallel sweep engine, lives in [`tsocc_bench`]; the litmus suite
+//! and the conformance campaign engine (N-thread litmus generation,
+//! model-oracle checking, counterexample shrinking) live in
+//! [`tsocc_conform`], and both take their verdicts from that model.
+//! The `tsocc-orch` package builds `tsocc`, the one command-line entry
+//! point (`cargo run --release -p tsocc-orch --bin tsocc -- --help`);
+//! it is a binary only, so nothing here re-exports it.
 
 pub use tsocc;
 pub use tsocc_bench;

@@ -10,13 +10,12 @@
 use tsocc::{
     FaultPlan, NocFault, ProtocolFault, RunError, RunStats, Stepper, System, SystemConfig,
 };
-use tsocc_conform::{run_campaign, CampaignOpts, GenConfig};
+use tsocc_conform::{litmus_suite, run_campaign, run_litmus, CampaignOpts, GenConfig};
 use tsocc_isa::{Asm, Program, Reg};
 use tsocc_mem::{LineAddr, LineData};
 use tsocc_mesi_coarse::MesiCoarseConfig;
 use tsocc_proto::TsoCcConfig;
 use tsocc_protocols::Protocol;
-use tsocc_workloads::litmus::{litmus_suite, run_litmus};
 use tsocc_workloads::{Benchmark, Scale};
 
 /// The line of address `0x2000` under 64-byte lines.

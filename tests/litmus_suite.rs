@@ -3,10 +3,10 @@
 //! that forces frequent timestamp resets and epoch wraparound.
 
 use tsocc::FaultPlan;
+use tsocc_conform::{litmus_suite, run_litmus, LitmusReport, LitmusTest};
 use tsocc_mesi_coarse::MesiCoarseConfig;
 use tsocc_proto::{TsParams, TsoCcConfig};
 use tsocc_protocols::Protocol;
-use tsocc_workloads::{litmus_suite, run_litmus, LitmusReport, LitmusTest};
 
 /// [`run_litmus`] on the healthy simulator; a hung iteration fails the
 /// test with the machine's hang diagnosis.

@@ -8,12 +8,12 @@
 
 use tsocc::{FaultPlan, System, SystemConfig};
 use tsocc_coherence::ProtocolHandle;
+use tsocc_conform::{litmus_suite, run_litmus};
 use tsocc_isa::{Asm, Program, Reg};
 use tsocc_mem::Addr;
 use tsocc_mesi::MesiFactory;
 use tsocc_mesi_coarse::{MesiCoarseConfig, MesiCoarseFactory};
 use tsocc_proto::{TsoCcConfig, TsoCcFactory};
-use tsocc_workloads::{litmus_suite, run_litmus};
 
 /// The factories under test, built directly — the way an out-of-tree
 /// protocol crate would register, with no `Protocol` enum involved.

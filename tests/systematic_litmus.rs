@@ -8,49 +8,41 @@
 //! the full simulator repeatedly under randomized timing — every
 //! observed outcome must be in the allowed set.
 
-use tsocc::{System, SystemConfig};
-use tsocc_conform::{compile_model_thread, observed_outcome};
+use tsocc::FaultPlan;
+use tsocc_conform::{run_litmus, LitmusTest};
 use tsocc_proto::{TsParams, TsoCcConfig};
 use tsocc_protocols::Protocol;
-use tsocc_workloads::tso_model::{allowed_outcomes, generate_two_thread_programs, ModelOp};
+use tsocc_workloads::tso_model::generate_two_thread_programs;
 
 /// Distinct cache lines for the model's two locations. (The campaign's
 /// default pool adds same-line words; the systematic family keeps the
 /// historical two-line layout.)
 const ADDRS: [u64; 2] = [0x2000, 0x2040];
 
-/// Compiles a model thread against the two-line pool. Compilation and
-/// outcome extraction are the shared `tsocc-conform` helpers — the same
-/// code the campaign engine runs.
-fn compile(ops: &[ModelOp], jitter: u32) -> tsocc_isa::Program {
-    compile_model_thread(ops, &ADDRS, jitter)
-}
-
+/// Runs every `stride`-th generated program `iters` times through the
+/// litmus suite's runner: compiled and judged exactly as the suite's
+/// loop-free shapes are.
 fn sweep(protocol: Protocol, ops_per_thread: usize, iters: u64, stride: usize) {
     let programs = generate_two_thread_programs(ops_per_thread);
     for (pi, program) in programs.iter().enumerate().step_by(stride) {
-        let allowed = allowed_outcomes(program);
-        for it in 0..iters {
-            let seed = (pi as u64) << 8 | it;
-            let compiled = vec![compile(&program[0], 50), compile(&program[1], 50)];
-            let mut cfg = SystemConfig::builder()
-                .small()
-                .cores(2)
-                .protocol(protocol)
-                .build()
-                .expect("valid config");
-            cfg.seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut sys = System::new(cfg, compiled);
-            sys.run(5_000_000)
-                .unwrap_or_else(|e| panic!("program {pi} under {}: {e}", protocol.name()));
-            let outcome = observed_outcome(&sys, program);
-            assert!(
-                allowed.contains(&outcome),
-                "program {pi} ({program:?}) under {}: outcome {outcome:?} \
-                 is TSO-forbidden (allowed: {allowed:?})",
-                protocol.name()
-            );
-        }
+        let test = LitmusTest::model("generated", program, &ADDRS);
+        let report = run_litmus(&test, protocol, iters, pi as u64, FaultPlan::none())
+            .unwrap_or_else(|(e, hang)| {
+                panic!(
+                    "program {pi} under {}: {e}; {}",
+                    protocol.name(),
+                    hang.summary()
+                )
+            });
+        assert_eq!(
+            report.forbidden_count,
+            0,
+            "program {pi} ({program:?}) under {}: TSO-forbidden outcomes in {:?} \
+             (allowed: {:?})",
+            protocol.name(),
+            report.outcomes,
+            test.allowed
+        );
     }
 }
 
@@ -64,7 +56,7 @@ fn one_op_threads_exhaustive() {
 
 #[test]
 fn two_op_threads_sampled_on_key_configs() {
-    // 219 two-op programs; sample every 5th on the headline configs
+    // 280 two-op programs; sample every 5th on the headline configs
     // and a reset-stress config.
     let configs = [
         Protocol::Mesi,
@@ -80,48 +72,5 @@ fn two_op_threads_sampled_on_key_configs() {
     ];
     for protocol in configs {
         sweep(protocol, 2, 3, 5);
-    }
-}
-
-#[test]
-fn classic_shapes_full_iteration_counts() {
-    // The four named shapes (SB, MP, LB, fenced SB) as model programs,
-    // checked against the model's verdicts with more iterations.
-    let st = |addr: u8| ModelOp::Store { addr, value: 1 };
-    let ld = |addr: u8| ModelOp::Load { addr };
-    let shapes: Vec<Vec<Vec<ModelOp>>> = vec![
-        vec![vec![st(0), ld(1)], vec![st(1), ld(0)]],
-        vec![vec![st(0), st(1)], vec![ld(1), ld(0)]],
-        vec![vec![ld(0), st(1)], vec![ld(1), st(0)]],
-        vec![
-            vec![st(0), ModelOp::Fence, ld(1)],
-            vec![st(1), ModelOp::Fence, ld(0)],
-        ],
-    ];
-    for protocol in [
-        Protocol::Mesi,
-        Protocol::TsoCc(TsoCcConfig::realistic(12, 3)),
-    ] {
-        for (si, program) in shapes.iter().enumerate() {
-            let allowed = allowed_outcomes(program);
-            for it in 0..25u64 {
-                let compiled = vec![compile(&program[0], 60), compile(&program[1], 60)];
-                let mut cfg = SystemConfig::builder()
-                    .small()
-                    .cores(2)
-                    .protocol(protocol)
-                    .build()
-                    .expect("valid config");
-                cfg.seed = (si as u64) << 32 | it;
-                let mut sys = System::new(cfg, compiled);
-                sys.run(5_000_000).unwrap();
-                let outcome = observed_outcome(&sys, program);
-                assert!(
-                    allowed.contains(&outcome),
-                    "shape {si} under {}: {outcome:?} not in {allowed:?}",
-                    protocol.name()
-                );
-            }
-        }
     }
 }
